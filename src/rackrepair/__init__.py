@@ -12,13 +12,11 @@ from .constructions import (
     RepairScheme,
     SchemeParams,
     build,
-    build_construction1,
-    build_construction2,
-    build_cor7,
     c1_params,
     c2_params,
     cor7_params,
     homogeneous_params,
+    monomial_rows,
     repair_family,
     verify_rank_condition,
 )
@@ -45,8 +43,6 @@ from .repair import (
     RepairTranscript,
     audit,
     bounds,
-    execute_repair,
-    per_rack_bandwidth,
 )
 from .rs import CodeSpec, dual_codeword, dual_weights, encode, erasure_decode, poly_eval
 

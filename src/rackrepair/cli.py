@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass, replace
@@ -26,17 +27,12 @@ from .constructions import (
     c2_params,
     cor7_params,
     homogeneous_params,
+    monomial_rows,
     repair_family,
     verify_rank_condition,
 )
-from .repair import (
-    RepairError,
-    RepairSession,
-    RepairTranscript,
-    audit,
-    bounds,
-    per_rack_bandwidth,
-)
+from .gf import rank_over_base
+from .repair import RepairError, RepairSession, RepairTranscript, audit, bounds
 from .rs import encode
 
 CSV_HEADER = "mode,q,u,nbar,rbar,rbar_eff,l,rack,node,b,b_min,upper,case,ratio,repair_ok,rank_ok"
@@ -153,11 +149,8 @@ def rows_for_instance(
                     )
         else:
             repair_ok = "false"
-            b = sum(
-                per_rack_bandwidth(instance, scheme, e)
-                for e in range(1, params.nbar + 1)
-                if e != scheme.rack
-            )
+            family = monomial_rows(instance, scheme)
+            b = sum(rank_over_base(r).rank for e, r in enumerate(family, 1) if e != scheme.rack)
         rows.append(ReportRow(
             mode=params.mode, q=params.q, u=params.u, nbar=params.nbar,
             rbar=params.rbar, rbar_eff=params.rbar_eff, l=params.l,
@@ -324,6 +317,10 @@ def _config_from_args(args) -> ExperimentConfig:
         raise ValueError(
             f"--primes must be comma separated integers, got {args.primes!r}"
         ) from None
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError(f"--out directory does not exist: {args.out!r}")
     return ExperimentConfig(
         mode=args.mode, q=args.q, u=args.u, nbar=args.nbar, rbar=args.rbar,
         primes=primes, v=args.v, trials=args.trials, seed=args.seed,

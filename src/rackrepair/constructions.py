@@ -198,24 +198,6 @@ def build(params: SchemeParams) -> CodeInstance:
                         radix=radix)
 
 
-def build_construction1(params: SchemeParams) -> CodeInstance:
-    if params.mode not in ("C1", "homogeneous"):
-        raise ValueError("params are not for the basic construction")
-    return build(params)
-
-
-def build_construction2(params: SchemeParams) -> CodeInstance:
-    if params.mode not in ("C2", "C2-remainder"):
-        raise ValueError("params are not for the multi-base construction")
-    return build(params)
-
-
-def build_cor7(params: SchemeParams) -> CodeInstance:
-    if params.mode != "Cor7":
-        raise ValueError("params are not for the prime-rbar adaptation")
-    return build(params)
-
-
 def rack_wy(params: SchemeParams, rack: int) -> tuple[int, int]:
     """Block coordinates (w, y) of a flat rack index (multi-base modes)."""
     return (rack - 1) // params.m, (rack - 1) % params.m + 1
@@ -278,6 +260,20 @@ class FamilyEvaluator:
         return tuple(self._zeta_ut[t] * ppow[s] for t, s in self.scheme.descriptors)
 
 
+def monomial_rows(instance: CodeInstance, scheme: RepairScheme) -> tuple[tuple[FieldElement, ...], ...]:
+    """The family's evaluations at every rack, from one power table of
+    beta = zeta^u: row e - 1 is (beta^(t + s * exponent(e)) for (t, s) in the
+    descriptors).  `verify_rank_condition` checks these rows against direct
+    evaluation at every node."""
+    exps = instance.plan.rack_exponents
+    amax = max(t + s * x for (t, s) in scheme.descriptors for x in exps)
+    beta = instance.field.zeta ** scheme.u
+    powers = [instance.field.one]
+    for _ in range(amax):
+        powers.append(powers[-1] * beta)
+    return tuple(tuple(powers[t + s * x] for (t, s) in scheme.descriptors) for x in exps)
+
+
 @dataclass(frozen=True)
 class RankCheck:
     ok: bool
@@ -291,10 +287,11 @@ def verify_rank_condition(
     """Evaluate the failed node's family and check rank_B = l.
 
     Also asserts, exactly, the identities the construction is built on:
-    the evaluations equal (zeta^u)^(t + s * exponent(e)) at every rack and
-    in-rack position (so they are position independent within a rack), the
-    basic modes' evaluated set is {(zeta^u)^a : a in [0, l-1]}, and the
-    multi-base coset decomposition of the exponents.
+    direct evaluation equals the `monomial_rows` (zeta^u)^(t + s * exponent(e))
+    at every rack and in-rack position (so they are position independent
+    within a rack), the basic modes' host exponents are exactly [0, l-1] (so
+    the evaluated set is {(zeta^u)^a : a in [0, l-1]}), and the multi-base
+    coset decomposition of the exponents.
     """
     params = instance.params
     if scheme is None:
@@ -302,36 +299,26 @@ def verify_rank_condition(
     elif scheme.node != node:
         raise ValueError("scheme was generated for a different node")
     ev = FamilyEvaluator(instance, scheme)
-    field = instance.field
-
-    exps = instance.plan.rack_exponents
-    amax = max(t + s * exps[e] for (t, s) in scheme.descriptors for e in range(params.nbar))
-    zu_pow = [field.one]
-    zu = field.zeta ** scheme.u
-    for _ in range(amax):
-        zu_pow.append(zu_pow[-1] * zu)
-
+    rows = monomial_rows(instance, scheme)
     for e in range(1, params.nbar + 1):
-        want = tuple(zu_pow[t + s * exps[e - 1]] for (t, s) in scheme.descriptors)
         for j in range(1, params.u + 1):
-            if ev.at(e, j) != want:
+            if ev.at(e, j) != rows[e - 1]:
                 raise AssertionError(
                     "monomial evaluations depend on the in-rack position; "
                     "alpha order invariant broken"
                 )
 
     host = scheme.rack
-    evaluated = ev.at(host, 1)
+    sums = sorted(t + s * instance.plan.rack_exponents[host - 1] for (t, s) in scheme.descriptors)
     if params.mode in ("C1", "homogeneous"):
-        if set(evaluated) != set(zu_pow[: params.l]):
+        if sums != list(range(params.l)):
             raise AssertionError("basic-mode evaluations missed {(zeta^u)^a}")
     elif params.h == 0:
         w, y = rack_wy(params, host)
-        sums = sorted(t + s * exps[host - 1] for (t, s) in scheme.descriptors)
         scale = prod(params.primes[: y - 1]) if w == params.nprime - 1 else 1
         if sums != [scale * a for a in range(params.l)]:
             raise AssertionError("multi-base coset decomposition failed")
 
-    rank = rank_over_base(evaluated).rank
+    rank = rank_over_base(rows[host - 1]).rank
     ok = rank == params.l
     return RankCheck(ok=ok, rank=rank, scheme=replace(scheme, rank_verified=ok))

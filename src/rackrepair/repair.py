@@ -2,10 +2,9 @@
 
 A repair run produces two artifacts: a transcript of what actually crossed
 rack boundaries (per helper rack, a basis of the evaluated polynomial span
-and one trace residue per basis element, plus recombination metadata that
-is not counted as bandwidth), and a bandwidth report checking the measured
-per-rack counts against the cut-set lower bound and the applicable
-per-construction upper bound.
+and one trace residue per basis element), and a bandwidth report checking
+the measured per-rack counts against the cut-set lower bound and the
+applicable per-construction upper bound.
 
 Bandwidth is a rank, so it is data independent; the payload realizes the
 rank count as actual base-field symbols, which keeps the accounting
@@ -20,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constructions import CodeInstance, FamilyEvaluator, RepairScheme, SchemeParams, rack_wy
+from .constructions import CodeInstance, RepairScheme, SchemeParams, monomial_rows, rack_wy
 from .gf import FieldElement, expand_in_dual_basis, rank_over_base
 from .rs import dual_weights
 
@@ -36,13 +35,11 @@ class RepairError(RuntimeError):
 @dataclass(frozen=True)
 class RackMessage:
     """What one helper rack sends: b_e trace residues for a basis of the
-    span of its evaluated polynomials, plus the B-coordinates of every
-    evaluated polynomial in that basis (metadata, not bandwidth)."""
+    span of its evaluated polynomials."""
 
     rack: int
     basis_elems: tuple[FieldElement, ...]
     payload: tuple[int, ...]
-    recombination: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -106,23 +103,9 @@ def bounds(params: SchemeParams, node: int) -> BoundSet:
     return BoundSet(b_min, Fraction(num * l, re), case, params.h == 0)
 
 
-def per_rack_bandwidth(instance: CodeInstance, scheme: RepairScheme, rack: int) -> int:
-    """b_e: rank over B of the scheme's evaluations at helper rack e.
-
-    The evaluations are position independent within a rack (verified by the
-    rank-condition check), so the single-point rank equals the rank over all
-    u nodes' evaluations.
-    """
-    if rack == scheme.rack:
-        raise ValueError("bandwidth is undefined for the host rack")
-    if not 1 <= rack <= instance.params.nbar:
-        raise ValueError(f"rack {rack} outside [1, {instance.params.nbar}]")
-    return rank_over_base(FamilyEvaluator(instance, scheme).at(rack)).rank
-
-
 class RepairSession:
-    """Per-node repair context: everything data independent (evaluations,
-    per-rack bases and recombination maps, the dual basis at the failed
+    """Per-node repair context: everything data independent (the monomial
+    rows, per-rack bases and payload maps, the dual basis at the failed
     node) is computed once and reused across codewords."""
 
     def __init__(self, instance: CodeInstance, scheme: RepairScheme):
@@ -136,14 +119,14 @@ class RepairSession:
         self.lam = dual_weights(instance.code)
         self.lam_failed_inv = self.lam[scheme.node - 1].inverse()
 
-        ev = FamilyEvaluator(instance, scheme)
+        rows = monomial_rows(instance, scheme)
         tf = field._trace_form
         q = field.q
         self.helpers = []
         for e in range(1, params.nbar + 1):
             if e == self.host_rack:
                 continue
-            values = ev.at(e)
+            values = rows[e - 1]
             profile = rank_over_base(values)
             basis = tuple(values[p] for p in profile.pivots)
             basis_mat = np.stack([b.vec for b in basis])
@@ -153,7 +136,7 @@ class RepairSession:
                 "coords": profile.coords,
                 "payload_map": basis_mat @ tf % q,  # payload = map @ mu_e
             })
-        host_values = ev.at(self.host_rack)
+        host_values = rows[self.host_rack - 1]
         self.dual_pair = field.dual_basis(host_values)
         host_mat = np.stack([g.vec for g in host_values])
         self._host_map = host_mat @ tf % q
@@ -182,7 +165,6 @@ class RepairSession:
                 rack=e,
                 basis_elems=h["basis"],
                 payload=tuple(int(x) for x in payload),
-                recombination=tuple(tuple(int(c) for c in row) for row in h["coords"]),
             ))
 
         host_symbols = []
@@ -221,16 +203,6 @@ class RepairSession:
             repair_ok=True,
         )
         return transcript, report
-
-
-def execute_repair(
-    instance: CodeInstance, scheme: RepairScheme, codeword
-) -> tuple[RepairTranscript, BandwidthReport]:
-    """One-shot repair of the scheme's node from a full codeword.
-
-    The failed symbol is never read except to check exactness of the result.
-    """
-    return RepairSession(instance, scheme).run(codeword)
 
 
 @dataclass(frozen=True)

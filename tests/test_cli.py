@@ -157,6 +157,9 @@ def test_main_invalid_parameters_exit_2(capsys):
     ["sweep", "--q", "4", "--rbar", "2"],
     ["repair", "--rbar", "2", "--node", "99"],
     ["nbar-sweep", "--nbar", "4"],
+    ["sweep", "--rbar", "2", "--trials", "-1"],
+    ["repair", "--rbar", "2", "--trials", "-1"],
+    ["sweep", "--mode", "homogeneous", "--u", "1", "--rbar", "2", "--out", "missing_dir/x"],
 ])
 def test_main_invalid_parameters_no_traceback(argv, capsys):
     # each of these raises ValueError inside main, including the --primes
@@ -166,6 +169,48 @@ def test_main_invalid_parameters_no_traceback(argv, capsys):
     assert code == 2
     assert "invalid parameters" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--rbar", "2", "--trials", "-1"],
+    ["sweep", "--rbar", "2", "--out", "missing_dir/x"],
+])
+def test_main_rejects_before_field_work(argv, monkeypatch):
+    def no_build(params):
+        raise AssertionError("field construction ran for invalid parameters")
+
+    monkeypatch.setattr("rackrepair.cli.build", no_build)
+    assert main(argv) == 2
+
+
+def test_rank_failure_row(monkeypatch, capsys):
+    # a node whose rank check fails is reported with the rank-sum b of its
+    # helper racks, counted as an audit failure, and makes sweep exit 1
+    from rackrepair.constructions import (
+        RankCheck,
+        build,
+        c1_params,
+        repair_family,
+        verify_rank_condition,
+    )
+    from rackrepair.repair import RepairSession
+
+    def failing_at_node_3(instance, node, scheme=None):
+        check = verify_rank_condition(instance, node, scheme)
+        if node != 3:
+            return check
+        return RankCheck(ok=False, rank=check.rank - 1, scheme=repair_family(instance, node))
+
+    monkeypatch.setattr("rackrepair.cli.verify_rank_condition", failing_at_node_3)
+    rows = run_sweep(c1_config())
+    bad = rows[2]
+    assert bad.node == 3 and bad.repair_ok == "false" and not bad.rank_ok
+    assert all(r.repair_ok == "true" and r.rank_ok for r in rows if r.node != 3)
+    inst = build(c1_params(3, 2, 3, 2))
+    assert bad.b == RepairSession(inst, verify_rank_condition(inst, 3).scheme).b
+    assert summarize(rows)["audit_failures"] == 1
+    assert main(["sweep", "--mode", "C1", "--nbar", "3", "--rbar", "2"]) == 1
+    assert "false,false" in capsys.readouterr().out
 
 
 def test_main_repair_error_exit_1(monkeypatch, capsys):

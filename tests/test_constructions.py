@@ -1,11 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from rackrepair.constructions import (
     FamilyEvaluator,
     build,
-    build_construction1,
-    build_construction2,
-    build_cor7,
     c1_params,
     c2_params,
     cor7_params,
@@ -63,7 +62,7 @@ def test_params_validation_errors():
 
 
 def test_build_c1_small():
-    inst = build_construction1(c1_params(3, 2, 3, 2))
+    inst = build(c1_params(3, 2, 3, 2))
     assert inst.plan.alpha == 2  # 2^((3-1)/2) with the smallest primitive root
     assert inst.plan.rack_exponents == (1, 2, 4)
     flat = inst.code.eval_points
@@ -78,20 +77,20 @@ def test_build_c1_small():
 
 
 def test_build_c2_divisible():
-    inst = build_construction2(c2_params(3, 2, 6, (2, 2)))
+    inst = build(c2_params(3, 2, 6, (2, 2)))
     assert inst.plan.rack_exponents == (1, 2, 4, 8, 16, 32)
     assert len(set(inst.code.eval_points)) == 12
 
 
 def test_build_c2_remainder():
-    inst = build_construction2(c2_params(3, 2, 5, (2, 2)))
+    inst = build(c2_params(3, 2, 5, (2, 2)))
     assert inst.plan.rack_exponents == (1, 2, 4, 8, 16)
     assert inst.params.l == 32
     assert len(set(inst.code.eval_points)) == 10
 
 
 def test_build_cor7():
-    inst = build_cor7(cor7_params(3, 2, 6, 5))
+    inst = build(cor7_params(3, 2, 6, 5))
     assert inst.params.l == 64
     assert inst.code.k == 2  # the code keeps its true dimension
     assert inst.plan.rack_exponents == (1, 2, 4, 8, 16, 32)
@@ -104,13 +103,9 @@ def test_build_homogeneous():
     assert len(set(inst.code.eval_points)) == 3
 
 
-def test_build_dispatch_guards():
-    with pytest.raises(ValueError):
-        build_construction1(c2_params(3, 2, 6, (2, 2)))
-    with pytest.raises(ValueError):
-        build_construction2(c1_params(3, 2, 3, 2))
-    with pytest.raises(ValueError):
-        build_cor7(c1_params(3, 2, 3, 2))
+def test_build_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode"):
+        build(replace(c1_params(3, 2, 3, 2), mode="C3"))
 
 
 def test_digit_system_capacity():
@@ -131,7 +126,7 @@ def test_rack_wy():
 
 
 def test_repair_family_example():
-    inst = build_construction1(c1_params(3, 2, 3, 2))
+    inst = build(c1_params(3, 2, 3, 2))
     node = inst.code.node_index(2, 1)
     scheme = repair_family(inst, node)
     assert scheme.index_set == (0, 1, 4, 5)
@@ -167,7 +162,7 @@ def test_degree_bound():
 
 
 def test_rank_condition_c1_all_nodes():
-    inst = build_construction1(c1_params(3, 2, 3, 2))
+    inst = build(c1_params(3, 2, 3, 2))
     for node in range(1, 7):
         check = verify_rank_condition(inst, node)
         assert check.ok and check.rank == 8
@@ -175,17 +170,17 @@ def test_rank_condition_c1_all_nodes():
 
 
 def test_rank_condition_c2_all_nodes():
-    inst = build_construction2(c2_params(3, 2, 6, (2, 2)))
+    inst = build(c2_params(3, 2, 6, (2, 2)))
     for node in range(1, 13):
         check = verify_rank_condition(inst, node)
         assert check.ok and check.rank == 64
 
 
 def test_rank_condition_remainder_and_cor7():
-    inst = build_construction2(c2_params(3, 2, 5, (2, 2)))
+    inst = build(c2_params(3, 2, 5, (2, 2)))
     for node in range(1, 11):
         assert verify_rank_condition(inst, node).rank == 32
-    inst = build_cor7(cor7_params(3, 2, 6, 5))
+    inst = build(cor7_params(3, 2, 6, 5))
     for node in (1, 6, 12):
         assert verify_rank_condition(inst, node).rank == 64
 
@@ -197,7 +192,7 @@ def test_rank_condition_homogeneous():
 
 
 def test_ablated_family_drops_rank():
-    inst = build_construction1(c1_params(3, 2, 3, 2))
+    inst = build(c1_params(3, 2, 3, 2))
     scheme = repair_family(inst, 1)
     values = FamilyEvaluator(inst, scheme).at(scheme.rack)
     assert rank_over_base(values).rank == 8
@@ -207,7 +202,7 @@ def test_ablated_family_drops_rank():
 def test_evaluations_position_independent():
     # g(alpha_(e,j)) must not depend on j; checked directly here on top of
     # the assertion inside verify_rank_condition
-    inst = build_construction2(c2_params(3, 2, 6, (2, 2)))
+    inst = build(c2_params(3, 2, 6, (2, 2)))
     scheme = repair_family(inst, 5)
     ev = FamilyEvaluator(inst, scheme)
     for e in range(1, 7):
@@ -215,7 +210,7 @@ def test_evaluations_position_independent():
 
 
 def test_c1_evaluated_set_is_zeta_u_powers():
-    inst = build_construction1(c1_params(3, 2, 3, 2))
+    inst = build(c1_params(3, 2, 3, 2))
     scheme = repair_family(inst, 3)
     values = FamilyEvaluator(inst, scheme).at(scheme.rack)
     zu = inst.field.zeta**2
@@ -224,7 +219,7 @@ def test_c1_evaluated_set_is_zeta_u_powers():
 
 
 def test_verify_rejects_mismatched_scheme():
-    inst = build_construction1(c1_params(3, 2, 3, 2))
+    inst = build(c1_params(3, 2, 3, 2))
     scheme = repair_family(inst, 1)
     with pytest.raises(ValueError):
         verify_rank_condition(inst, 2, scheme)

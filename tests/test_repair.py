@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rackrepair.constructions import (
+    FamilyEvaluator,
     build,
     c1_params,
     c2_params,
@@ -13,14 +14,8 @@ from rackrepair.constructions import (
     repair_family,
     verify_rank_condition,
 )
-from rackrepair.repair import (
-    RepairError,
-    RepairSession,
-    audit,
-    bounds,
-    execute_repair,
-    per_rack_bandwidth,
-)
+from rackrepair.gf import rank_over_base
+from rackrepair.repair import RepairError, RepairSession, audit, bounds
 from rackrepair.rs import encode
 
 
@@ -96,22 +91,23 @@ def test_bounds_cor7_with_remainder_unenforced():
 # per-rack bandwidth
 # ---------------------------------------------------------------------------
 
-def test_per_rack_bandwidth_host_is_undefined():
+def test_per_rack_excludes_host():
     inst, scheme = build_verified(c1_params(3, 2, 3, 2), 1)
-    with pytest.raises(ValueError):
-        per_rack_bandwidth(inst, scheme, scheme.rack)
-    with pytest.raises(ValueError):
-        per_rack_bandwidth(inst, scheme, 7)
+    _, report = RepairSession(inst, scheme).run(random_codeword(inst, random.Random(3)))
+    assert scheme.rack not in dict(report.per_rack)
+    assert sorted(dict(report.per_rack)) == [2, 3]
 
 
-def test_per_rack_bandwidth_c1_frozen_values():
+def test_per_rack_c1_frozen_values():
     # failed rack 1: helper rack 2 evaluates to rank 5, within the
     # case bound l/rbar + (rbar-1) * l / rbar^(nbar-e+2) = 4 + 1 = 5
     inst, scheme = build_verified(c1_params(3, 2, 3, 2), 1)
-    b2 = per_rack_bandwidth(inst, scheme, 2)
+    _, report = RepairSession(inst, scheme).run(random_codeword(inst, random.Random(3)))
+    per_rack = dict(report.per_rack)
+    b2 = per_rack[2]
     assert 4 <= b2 <= 5
     assert b2 == 5
-    b3 = per_rack_bandwidth(inst, scheme, 3)
+    b3 = per_rack[3]
     assert 4 <= b3 <= 6  # 4 + 8 / 2^(3-3+2) = 6
     assert b3 == 6
     assert b2 <= inst.params.l and b3 <= inst.params.l
@@ -124,7 +120,7 @@ def test_per_rack_bandwidth_c1_frozen_values():
 def test_repair_zero_codeword():
     inst, scheme = build_verified(c1_params(3, 2, 3, 2), 1)
     zero_word = tuple(inst.field.zero for _ in range(6))
-    transcript, report = execute_repair(inst, scheme, zero_word)
+    transcript, report = RepairSession(inst, scheme).run(zero_word)
     assert transcript.recovered.is_zero()
     for msg in transcript.messages:
         assert all(p == 0 for p in msg.payload)
@@ -171,11 +167,8 @@ def test_payload_count_equals_rank_sum():
     session = RepairSession(inst, scheme)
     transcript, report = session.run(random_codeword(inst, rng))
     payloads = sum(len(m.payload) for m in transcript.messages)
-    ranks = sum(
-        per_rack_bandwidth(inst, scheme, e)
-        for e in range(1, 7)
-        if e != scheme.rack
-    )
+    ev = FamilyEvaluator(inst, scheme)
+    ranks = sum(rank_over_base(ev.at(e)).rank for e in range(1, 7) if e != scheme.rack)
     assert payloads == ranks == report.b
 
 
@@ -194,13 +187,10 @@ def test_transcript_structure():
     inst, scheme = build_verified(c1_params(3, 2, 3, 2), 3)
     rng = random.Random(19)
     word = random_codeword(inst, rng)
-    transcript, report = execute_repair(inst, scheme, word)
+    transcript, report = RepairSession(inst, scheme).run(word)
     assert transcript.host_rack == 2
     assert [m.rack for m in transcript.messages] == [1, 3]
     assert [n for n, _ in transcript.host_symbols] == [4]
-    for msg in transcript.messages:
-        assert len(msg.recombination) == inst.params.l
-        assert all(len(row) == len(msg.payload) for row in msg.recombination)
     assert report.per_rack == ((1, len(transcript.messages[0].payload)),
                                (3, len(transcript.messages[1].payload)))
 
@@ -208,7 +198,7 @@ def test_transcript_structure():
 def test_repair_wrong_length_codeword():
     inst, scheme = build_verified(c1_params(3, 2, 3, 2), 1)
     with pytest.raises(ValueError):
-        execute_repair(inst, scheme, tuple(inst.field.zero for _ in range(5)))
+        RepairSession(inst, scheme).run(tuple(inst.field.zero for _ in range(5)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +208,7 @@ def test_repair_wrong_length_codeword():
 def _one_run(params=None, node=3):
     inst, scheme = build_verified(params or c1_params(3, 2, 3, 2), node)
     word = random_codeword(inst, random.Random(23))
-    return execute_repair(inst, scheme, word)
+    return RepairSession(inst, scheme).run(word)
 
 
 def test_audit_accepts_untampered():
@@ -259,7 +249,6 @@ def test_recovery_identity_against_dual_codeword():
     inst, scheme = build_verified(c1_params(3, 2, 3, 2), 1)
     rng = random.Random(29)
     word = random_codeword(inst, rng)
-    from rackrepair.constructions import FamilyEvaluator
     from rackrepair.rs import dual_weights
 
     lam = dual_weights(inst.code)
@@ -278,6 +267,6 @@ def test_repair_error_carries_transcript():
     word = list(random_codeword(inst, random.Random(31)))
     word[2] = word[2] + 1  # corrupt a helper symbol: recovery must fail hard
     with pytest.raises(RepairError) as err:
-        execute_repair(inst, scheme, tuple(word))
+        RepairSession(inst, scheme).run(tuple(word))
     assert err.value.transcript is not None
     assert err.value.transcript.recovered != err.value.transcript.expected
