@@ -28,7 +28,6 @@ from .constructions import (
     cor7_params,
     homogeneous_params,
     monomial_rows,
-    repair_family,
     verify_rank_condition,
 )
 from .gf import rank_over_base
@@ -121,14 +120,13 @@ def rows_for_instance(
     params = instance.params
     rows = []
     for node in range(1, params.n + 1):
-        rack = (node - 1) // params.u + 1
-        scheme = repair_family(instance, node)
-        check = verify_rank_condition(instance, node, scheme)
+        check = verify_rank_condition(instance, node)
+        scheme = check.scheme
         bset = bounds(params, node)
         b = None
         repair_ok = "skipped"
         if check.ok:
-            session = RepairSession(instance, check.scheme)
+            session = RepairSession(instance, scheme)
             b = session.b
             seen_b = set()
             for _ in range(trials):
@@ -154,7 +152,7 @@ def rows_for_instance(
         rows.append(ReportRow(
             mode=params.mode, q=params.q, u=params.u, nbar=params.nbar,
             rbar=params.rbar, rbar_eff=params.rbar_eff, l=params.l,
-            rack=rack, node=node, b=b, b_min=bset.b_min, upper=bset.upper,
+            rack=scheme.rack, node=node, b=b, b_min=bset.b_min, upper=bset.upper,
             case=bset.case, ratio=Fraction(b) / bset.b_min, repair_ok=repair_ok,
             rank_ok=check.ok, enforced=bset.enforced,
         ))
@@ -395,6 +393,8 @@ def main(argv=None) -> int:
         # nbar-sweep: basic mode over nbar = 3 .. config.nbar at fixed rbar
         if config.rbar is None:
             raise ValueError("nbar-sweep needs --rbar")
+        if config.nbar < 3:
+            raise ValueError(f"nbar-sweep needs --nbar >= 3, got {config.nbar}")
         rows = []
         max_ratios = []
         for nbar in range(3, config.nbar + 1):

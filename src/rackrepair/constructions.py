@@ -281,9 +281,7 @@ class RankCheck:
     scheme: RepairScheme
 
 
-def verify_rank_condition(
-    instance: CodeInstance, node: int, scheme: RepairScheme | None = None
-) -> RankCheck:
+def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
     """Evaluate the failed node's family and check rank_B = l.
 
     Also asserts, exactly, the identities the construction is built on:
@@ -294,10 +292,7 @@ def verify_rank_condition(
     coset decomposition of the exponents.
     """
     params = instance.params
-    if scheme is None:
-        scheme = repair_family(instance, node)
-    elif scheme.node != node:
-        raise ValueError("scheme was generated for a different node")
+    scheme = repair_family(instance, node)
     ev = FamilyEvaluator(instance, scheme)
     rows = monomial_rows(instance, scheme)
     for e in range(1, params.nbar + 1):

@@ -119,28 +119,38 @@ class _QuotientRing:
 
 
 # ---------------------------------------------------------------------------
-# modular matrix kernels
+# the one elimination kernel over GF(q): rank_over_base and dual_basis both
+# read its reduced row echelon form
 # ---------------------------------------------------------------------------
 
-def _mat_inv_mod(mat: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of a square matrix over GF(q) by Gauss-Jordan elimination."""
-    n = mat.shape[0]
-    aug = np.concatenate([mat % q, np.eye(n, dtype=np.int64)], axis=1)
-    for col in range(n):
-        piv_rows = np.nonzero(aug[col:, col])[0]
-        if piv_rows.size == 0:
-            raise ValueError("matrix is singular over GF(q)")
-        piv = col + int(piv_rows[0])
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] = aug[col] * pow(int(aug[col, col]), -1, q) % q
-        others = np.nonzero(aug[:, col])[0]
-        others = others[others != col]
+def _rref(mat: np.ndarray, q: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form of `mat` over GF(q) by Gauss-Jordan
+    elimination, with its pivot columns in increasing order.  The scan stops
+    once every row has a pivot: no later column can hold one."""
+    R = mat % q
+    rows, cols = R.shape
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            R[[r, p]] = R[[p, r]]
+        # row r is zero left of c, so only columns c onwards change
+        R[r, c:] = R[r, c:] * pow(int(R[r, c]), -1, q) % q
+        others = np.nonzero(R[:, c])[0]
+        others = others[others != r]
         if others.size:
-            aug[others] = (aug[others] - np.outer(aug[others, col], aug[col])) % q
-    return aug[:, n:]
+            R[others, c:] = (R[others, c:] - np.outer(R[others, c], R[r, c:])) % q
+        pivots.append(c)
+    return R, tuple(pivots)
 
 
+@dataclass(frozen=True)
 class RankProfile:
     """Result of a rank computation over B.
 
@@ -151,54 +161,9 @@ class RankProfile:
             B-coordinates of element i in the pivot subset.
     """
 
-    def __init__(self, rank: int, pivots: tuple[int, ...], coords: np.ndarray):
-        self.rank = rank
-        self.pivots = pivots
-        self.coords = coords
-
-    def __repr__(self):
-        return f"RankProfile(rank={self.rank}, pivots={self.pivots})"
-
-
-def _rank_profile(matrix: np.ndarray, q: int) -> RankProfile:
-    """Greedy row-by-row reduction keeping a reduced echelon basis.
-
-    E holds the echelon rows (unit pivot columns), W expresses each echelon
-    row as a combination of the chosen original rows, so any row v in the
-    span satisfies v = v[pivcols] @ E and has coordinates v[pivcols] @ W.
-    """
-    num, width = matrix.shape
-    E = np.zeros((0, width), dtype=np.int64)
-    W = np.zeros((0, 0), dtype=np.int64)
-    pivcols: list[int] = []
-    pivots: list[int] = []
-    for i in range(num):
-        v = matrix[i] % q
-        f = v[pivcols]
-        r = (v - f @ E) % q if pivcols else v.copy()
-        nz = np.nonzero(r)[0]
-        if nz.size == 0:
-            continue
-        c = int(nz[0])
-        lead_inv = pow(int(r[c]), -1, q)
-        rn = r * lead_inv % q
-        w_new = np.zeros(len(pivots) + 1, dtype=np.int64)
-        if pivots:
-            w_new[:-1] = (-lead_inv * (f @ W)) % q
-        w_new[-1] = lead_inv
-        if pivots:
-            fac = E[:, c].copy()
-            W = np.concatenate([W, np.zeros((W.shape[0], 1), dtype=np.int64)], axis=1)
-            E = (E - np.outer(fac, rn)) % q
-            W = (W - np.outer(fac, w_new)) % q
-        else:
-            W = np.zeros((0, 1), dtype=np.int64)
-        E = np.concatenate([E, rn[None, :]])
-        W = np.concatenate([W, w_new[None, :]])
-        pivcols.append(c)
-        pivots.append(i)
-    coords = (matrix[:, pivcols] @ W) % q if pivots else np.zeros((num, 0), dtype=np.int64)
-    return RankProfile(len(pivots), tuple(pivots), coords)
+    rank: int
+    pivots: tuple[int, ...]
+    coords: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -460,20 +425,22 @@ class ExtensionField:
     def dual_basis(self, basis: Sequence[FieldElement]) -> "DualBasisPair":
         """Dual basis {mu_j} with tr(basis_i * mu_j) = delta_ij.
 
-        Obtained by inverting the Gram matrix G[i][j] = tr(basis_i basis_j)
-        over B; raises if the input is rank deficient.  The Kronecker
-        condition is re-verified exactly before returning.
+        The Gram matrix G[i][j] = tr(basis_i basis_j) is inverted over B by
+        row-reducing [G | I] with `_rref`: the pivots are 0..l-1 exactly when
+        the input is a basis (otherwise this raises), and the right block is
+        then G^-1.  The Kronecker condition is re-verified exactly before
+        returning.
         """
-        if len(basis) != self.l:
-            raise ValueError(f"need exactly {self.l} basis elements")
+        l = self.l
+        if len(basis) != l:
+            raise ValueError(f"need exactly {l} basis elements")
         Z = np.stack([self._check(b).vec for b in basis])
         gram = Z @ self._trace_form @ Z.T % self.q
-        try:
-            ginv = _mat_inv_mod(gram, self.q)
-        except ValueError:
-            raise ValueError("basis is rank deficient over the base field") from None
-        mu = ginv.T @ Z % self.q
-        if not np.array_equal(Z @ self._trace_form @ mu.T % self.q, np.eye(self.l, dtype=np.int64)):
+        R, pivots = _rref(np.concatenate([gram, np.eye(l, dtype=np.int64)], axis=1), self.q)
+        if pivots != tuple(range(l)):
+            raise ValueError("basis is rank deficient over the base field")
+        mu = R[:, l:].T @ Z % self.q
+        if not np.array_equal(Z @ self._trace_form @ mu.T % self.q, np.eye(l, dtype=np.int64)):
             raise AssertionError("dual basis failed the Kronecker condition")
         return DualBasisPair(
             zeta_basis=tuple(basis),
@@ -637,12 +604,17 @@ def find_primitive_element(field: ExtensionField) -> FieldElement:
 
 def rank_over_base(elems: Sequence[FieldElement]) -> RankProfile:
     """Rank over B of the coefficient vectors of `elems`, with the first
-    maximal independent subset and the B-coordinates of every element in it."""
+    maximal independent subset and the B-coordinates of every element in it.
+
+    Element i is column i of the matrix that `_rref` reduces, so the pivot
+    columns are the greedy first independent subset in input order, and
+    the first `rank` rows of column i are element i's coordinates in it."""
     if not elems:
         return RankProfile(0, (), np.zeros((0, 0), dtype=np.int64))
     field = elems[0].field
-    mat = np.stack([field._check(e).vec for e in elems])
-    return _rank_profile(mat, field.q)
+    R, pivots = _rref(np.stack([field._check(e).vec for e in elems], axis=1), field.q)
+    rank = len(pivots)
+    return RankProfile(rank, pivots, R[:rank].T.copy())
 
 
 def expand_in_dual_basis(traces: Sequence[int], pair: DualBasisPair) -> FieldElement:

@@ -151,23 +151,30 @@ def test_main_invalid_parameters_exit_2(capsys):
     assert "invalid parameters" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--mode", "C2", "--nbar", "6", "--primes", "2,x"],
-    ["sweep", "--mode", "C2", "--nbar", "6"],
-    ["sweep", "--q", "4", "--rbar", "2"],
-    ["repair", "--rbar", "2", "--node", "99"],
-    ["nbar-sweep", "--nbar", "4"],
-    ["sweep", "--rbar", "2", "--trials", "-1"],
-    ["repair", "--rbar", "2", "--trials", "-1"],
-    ["sweep", "--mode", "homogeneous", "--u", "1", "--rbar", "2", "--out", "missing_dir/x"],
-])
-def test_main_invalid_parameters_no_traceback(argv, capsys):
+INVALID = [
+    (["sweep", "--mode", "C2", "--nbar", "6", "--primes", "2,x"], "--primes"),
+    (["sweep", "--mode", "C2", "--nbar", "6"], "--primes"),
+    (["sweep", "--q", "4", "--rbar", "2"], "q = 4"),
+    (["repair", "--rbar", "2", "--node", "99"], "node 99"),
+    (["nbar-sweep", "--nbar", "4"], "--rbar"),
+    (["sweep", "--rbar", "2", "--trials", "-1"], "--trials"),
+    (["repair", "--rbar", "2", "--trials", "-1"], "--trials"),
+    (["sweep", "--mode", "homogeneous", "--u", "1", "--rbar", "2", "--out", "missing_dir/x"],
+     "--out"),
+    (["nbar-sweep", "--rbar", "2", "--nbar", "2"], "--nbar"),
+]
+
+
+@pytest.mark.parametrize("argv, names", INVALID, ids=[f"argv{i}" for i in range(len(INVALID))])
+def test_main_invalid_parameters_no_traceback(argv, names, capsys):
     # each of these raises ValueError inside main, including the --primes
-    # parsing, and must be reported as one line with status 2
+    # parsing, and must be reported as one line with status 2 that names
+    # the bad parameter
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
-    assert "invalid parameters" in err
+    assert err.startswith("invalid parameters: ") and err.count("\n") == 1
+    assert names in err
     assert "Traceback" not in err
 
 
@@ -185,7 +192,8 @@ def test_main_rejects_before_field_work(argv, monkeypatch):
 
 def test_rank_failure_row(monkeypatch, capsys):
     # a node whose rank check fails is reported with the rank-sum b of its
-    # helper racks, counted as an audit failure, and makes sweep exit 1
+    # helper racks, counted as an audit failure, and makes sweep exit 1;
+    # `repair` at that node exits 1 with one line on stderr and no output
     from rackrepair.constructions import (
         RankCheck,
         build,
@@ -195,8 +203,8 @@ def test_rank_failure_row(monkeypatch, capsys):
     )
     from rackrepair.repair import RepairSession
 
-    def failing_at_node_3(instance, node, scheme=None):
-        check = verify_rank_condition(instance, node, scheme)
+    def failing_at_node_3(instance, node):
+        check = verify_rank_condition(instance, node)
         if node != 3:
             return check
         return RankCheck(ok=False, rank=check.rank - 1, scheme=repair_family(instance, node))
@@ -211,6 +219,10 @@ def test_rank_failure_row(monkeypatch, capsys):
     assert summarize(rows)["audit_failures"] == 1
     assert main(["sweep", "--mode", "C1", "--nbar", "3", "--rbar", "2"]) == 1
     assert "false,false" in capsys.readouterr().out
+    assert main(["repair", "--mode", "C1", "--nbar", "3", "--rbar", "2", "--node", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "rank condition failed at node 3:" in err
 
 
 def test_main_repair_error_exit_1(monkeypatch, capsys):

@@ -218,13 +218,6 @@ def test_c1_evaluated_set_is_zeta_u_powers():
     assert set(values) == powers
 
 
-def test_verify_rejects_mismatched_scheme():
-    inst = build(c1_params(3, 2, 3, 2))
-    scheme = repair_family(inst, 1)
-    with pytest.raises(ValueError):
-        verify_rank_condition(inst, 2, scheme)
-
-
 def test_v_offset_instance():
     # v > 0 exercises k = kbar * u + v; q = 5, u = 4 | q - 1
     params = c1_params(5, 4, 3, 2, v=2)

@@ -32,6 +32,27 @@ def brute_force_span_size(elems):
     return len(span)
 
 
+# Fields beyond q = 3, with how many elements the brute-force span oracle
+# can take there: it enumerates q^count combinations, kept near 2,000.
+SMALL_FIELDS = {(2, 5): 8, (5, 3): 4, (7, 2): 3, (13, 2): 3}
+
+
+def dependent_elements(field, rng, count):
+    """`count` elements of the B-span of fewer random generators, one of
+    them zero and one a repeat, shuffled so that dependent elements fall
+    between independent ones."""
+    gens = [field.random_element(rng) for _ in range(rng.randrange(1, count))]
+    elems = [field.zero]
+    while len(elems) < count - 1:
+        acc = field.zero
+        for g in gens:
+            acc = acc + rng.randrange(field.q) * g
+        elems.append(acc)
+    elems.append(rng.choice(elems))
+    rng.shuffle(elems)
+    return elems
+
+
 def trace_by_frobenius_sum(a):
     """Oracle: tr(a) = a + a^q + ... + a^(q^(l-1)) by explicit powering."""
     field = a.field
@@ -258,7 +279,7 @@ def test_dual_basis_hand_example():
 
 
 def test_dual_basis_kronecker_and_reconstruction():
-    for q, l in ((3, 2), (3, 4), (2, 3), (3, 8)):
+    for q, l in ((3, 2), (3, 4), (2, 3), (3, 8), (5, 3), (13, 2)):
         field = GF(q, l)
         basis = [field.zeta**i for i in range(l)]
         pair = field.dual_basis(basis)
@@ -280,6 +301,10 @@ def test_dual_basis_rejects_rank_deficient():
         field.dual_basis([field.one, field.scalar(2)])
     with pytest.raises(ValueError):
         field.dual_basis([field.one])
+    field = GF(5, 3)
+    x = field.monomial(1)
+    with pytest.raises(ValueError):
+        field.dual_basis([field.one, x, 2 * field.one + 3 * x])
 
 
 def test_expand_in_dual_basis():
@@ -328,18 +353,29 @@ def test_rank_against_brute_force_oracle():
             elems = [field.random_element(rng) for _ in range(rng.randrange(1, 6))]
             profile = rank_over_base(elems)
             assert field.q**profile.rank == brute_force_span_size(elems)
+    for (q, l), count in SMALL_FIELDS.items():
+        field = GF(q, l)
+        for trial in range(6):
+            elems = dependent_elements(field, rng, count)
+            assert field.q ** rank_over_base(elems).rank == brute_force_span_size(elems)
 
 
 def test_rank_profile_pivots_and_coords():
     field = GF(3, 4)
     rng = random.Random(23)
-    for _ in range(10):
-        elems = [field.random_element(rng) for _ in range(6)]
+    cases = [[field.random_element(rng) for _ in range(6)] for _ in range(10)]
+    for (q, l) in SMALL_FIELDS:
+        cases += [dependent_elements(GF(q, l), rng, 2 * l + 1) for _ in range(5)]
+    for elems in cases:
+        field = elems[0].field
         profile = rank_over_base(elems)
         chosen = [elems[p] for p in profile.pivots]
         # pivots are greedy-first: each pivot is independent of the earlier ones
         for j in range(len(chosen)):
             assert rank_over_base(chosen[: j + 1]).rank == j + 1
+        # and every element between pivots depends on the pivots before it
+        for i in range(len(elems)):
+            assert rank_over_base(elems[: i + 1]).rank == sum(p <= i for p in profile.pivots)
         # every element reconstructs from its coordinates in the pivot subset
         for i, e in enumerate(elems):
             acc = field.zero
