@@ -32,7 +32,7 @@ from .gf import (
     find_primitive_element,
     rank_over_base,
 )
-from .radix import DigitVector, RadixSystem, index_set_c1, index_set_c2, weight_dwy
+from .radix import DigitVector, RadixSystem, index_set
 from .repair import (
     AuditResult,
     BandwidthReport,

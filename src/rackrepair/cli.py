@@ -390,14 +390,15 @@ def main(argv=None) -> int:
             summary = summarize(rows)
             return 0 if summary["bound_violations"] == 0 and summary["audit_failures"] == 0 else 1
 
-        # nbar-sweep: basic mode over nbar = 3 .. config.nbar at fixed rbar
+        # nbar-sweep: basic mode over nbar = rbar + 1 .. config.nbar at fixed rbar
         if config.rbar is None:
             raise ValueError("nbar-sweep needs --rbar")
-        if config.nbar < 3:
-            raise ValueError(f"nbar-sweep needs --nbar >= 3, got {config.nbar}")
+        first = config.rbar + 1
+        if config.nbar < first:
+            raise ValueError(f"nbar-sweep needs --nbar >= rbar + 1 = {first}, got {config.nbar}")
         rows = []
         max_ratios = []
-        for nbar in range(3, config.nbar + 1):
+        for nbar in range(first, config.nbar + 1):
             sub_config = replace(config, mode="C1", nbar=nbar)
             sub_rows = run_sweep(sub_config)
             rows += sub_rows

@@ -10,8 +10,12 @@ Four flavors share one engine:
   machinery for rbar' = rbar - 1 while the code keeps its true dimension;
 * homogeneous: the u = 1 degeneration of the basic construction.
 
-Every generated family is a set of monomials g_(t,s)(x) = zeta^(ut) x^(us);
-the rank-l repair condition is verified numerically, never assumed.
+The basic rbar-ary expansion is the one-base (m = 1) multi-base expansion,
+so one rule picks every family: rack e's index set is the t in [0, l) whose
+m consecutive digits of the instance's radix system vanish, starting at
+position e and wrapping past the last position.  Every generated family is a
+set of monomials g_(t,s)(x) = zeta^(ut) x^(us); the rank-l repair condition
+is verified numerically, never assumed.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from math import prod
 
 from .gf import GF, ExtensionField, FieldElement, PrimeField, rank_over_base
 from .numbertheory import factorize, is_prime
-from .radix import RadixSystem, index_set_c1, index_set_c2
+from .radix import RadixSystem, index_set
 from .rs import CodeSpec
 
 MODES = ("C1", "C2", "C2-remainder", "Cor7", "homogeneous")
@@ -199,7 +203,7 @@ def build(params: SchemeParams) -> CodeInstance:
 
 
 def rack_wy(params: SchemeParams, rack: int) -> tuple[int, int]:
-    """Block coordinates (w, y) of a flat rack index (multi-base modes)."""
+    """Block coordinates (w, y) of a flat rack index; y = 1 in the basic modes."""
     return (rack - 1) // params.m, (rack - 1) % params.m + 1
 
 
@@ -225,11 +229,7 @@ class RepairScheme:
 def repair_family(instance: CodeInstance, node: int) -> RepairScheme:
     params = instance.params
     e, _ = instance.code.rack_of(node)
-    if params.mode in ("C1", "homogeneous"):
-        t_set = index_set_c1(e, params.nbar, params.rbar)
-    else:
-        w, y = rack_wy(params, e)
-        t_set = index_set_c2(w, y, params.primes, params.nprime, params.h)
+    t_set = index_set(instance.radix, e, params.m)
     if len(t_set) * params.rbar_eff != params.l:
         raise AssertionError("index set size times rbar does not equal l")
     max_deg = params.u * (params.rbar_eff - 1)
@@ -287,9 +287,11 @@ def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
     Also asserts, exactly, the identities the construction is built on:
     direct evaluation equals the `monomial_rows` (zeta^u)^(t + s * exponent(e))
     at every rack and in-rack position (so they are position independent
-    within a rack), the basic modes' host exponents are exactly [0, l-1] (so
-    the evaluated set is {(zeta^u)^a : a in [0, l-1]}), and the multi-base
-    coset decomposition of the exponents.
+    within a rack), and, whenever h = 0, one coset check: the sorted host
+    exponents t + s * exponent(host) are exactly scale * [0, l-1], where
+    scale is the radix weight of position y on the last block and 1
+    elsewhere.  In the basic modes y = 1, so scale = 1 and the evaluated set
+    is {(zeta^u)^a : a in [0, l-1]}.
     """
     params = instance.params
     scheme = repair_family(instance, node)
@@ -305,14 +307,11 @@ def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
 
     host = scheme.rack
     sums = sorted(t + s * instance.plan.rack_exponents[host - 1] for (t, s) in scheme.descriptors)
-    if params.mode in ("C1", "homogeneous"):
-        if sums != list(range(params.l)):
-            raise AssertionError("basic-mode evaluations missed {(zeta^u)^a}")
-    elif params.h == 0:
+    if params.h == 0:
         w, y = rack_wy(params, host)
-        scale = prod(params.primes[: y - 1]) if w == params.nprime - 1 else 1
+        scale = instance.radix.weights[y - 1] if w == params.nprime - 1 else 1
         if sums != [scale * a for a in range(params.l)]:
-            raise AssertionError("multi-base coset decomposition failed")
+            raise AssertionError("coset decomposition of the host exponents failed")
 
     rank = rank_over_base(rows[host - 1]).rank
     ok = rank == params.l

@@ -1,5 +1,7 @@
 """Mixed-radix digit systems: r-ary and multi-base expansions, positional
 weights, and the zero-digit index sets the repair constructions select from.
+The r-ary expansion is the one-base (m = 1) case of the multi-base one, so a
+single window rule, `index_set`, serves every construction.
 
 Positions are 1-based to match the usual digit notation t_1, t_2, ...; the
 flat position of block coordinates (w, y) is w*m + y.
@@ -75,69 +77,30 @@ class RadixSystem:
                 raise ValueError(f"digit {t} out of bounds for radix {r}")
         return sum(t * w for t, w in zip(d.digits, self.weights))
 
-    def digit(self, a: int, position: int) -> int:
-        """Digit of a at the given 1-based position."""
-        return self.encode(a).digits[position - 1]
 
+def index_set(radix: RadixSystem, start: int, width: int) -> tuple[int, ...]:
+    """All t in [0, capacity) whose `width` consecutive digits are zero,
+    starting at the 1-based position `start` and wrapping past the last one.
 
-def weight_dwy(w: int, y: int, primes) -> int:
-    """Positional weight rbar^w * p_1 * ... * p_(y-1) (empty product for y=1),
-    where rbar is the product of all the primes.  Equals the RadixSystem
-    weight at flat position w*m + y."""
-    primes = tuple(int(p) for p in primes)
-    if w < 0 or not 1 <= y <= len(primes):
-        raise ValueError("need w >= 0 and y in [1, m]")
-    rbar = prod(primes)
-    return rbar**w * prod(primes[: y - 1])
-
-
-def index_set_c1(i: int, nbar: int, rbar: int) -> tuple[int, ...]:
-    """All t in [0, rbar^nbar - 1] whose i-th rbar-ary digit is zero.
-
-    The result has exactly rbar^(nbar-1) entries, ascending.
+    The basic construction's rack i uses the window (i, 1) of the rbar-ary
+    system; the multi-base rack at flat position w*m + y uses (w*m + y, m).
+    The radices under the window must multiply to the first `width` radices'
+    product (one full period), so that the set has exactly capacity/period
+    entries; other windows are rejected.
     """
-    if not 1 <= i <= nbar:
-        raise ValueError(f"rack index {i} outside [1, {nbar}]")
-    sys = RadixSystem.uniform(rbar, nbar)
-    out = tuple(t for t in range(sys.capacity) if sys.digit(t, i) == 0)
-    assert len(out) == rbar ** (nbar - 1)
-    return out
-
-
-def index_set_c2(w: int, y: int, primes, nprime: int, h: int = 0) -> tuple[int, ...]:
-    """All t whose m consecutive digits starting at flat position w*m + y are
-    zero, positions wrapping circularly past the last digit.
-
-    With h = 0 this is the block/wrapped selection of the multi-base
-    construction (the wrap only engages for w = nprime - 1); with h != 0
-    the same rule runs over the transformed digit positions, which now
-    include the h remainder positions.  The radices covered by the window
-    must multiply to rbar so that the set has exactly capacity/rbar
-    entries; other layouts are rejected.
-    """
-    primes = tuple(int(p) for p in primes)
-    m = len(primes)
-    if nprime < 2:
-        raise ValueError("need nprime >= 2")
-    if not 1 <= y <= m:
-        raise ValueError(f"y={y} outside [1, {m}]")
-    max_w = nprime - 1 if h == 0 else nprime
-    if not 0 <= w <= max_w or (h and w == nprime and y > h):
-        raise ValueError(f"rack coordinates (w={w}, y={y}) out of range")
-    nbar = nprime * m + h
-    sys = RadixSystem.multi_base(primes, nbar)
-    positions = [((w * m + y + yp - 1) % nbar) + 1 for yp in range(m)]
-    rbar = prod(primes)
-    window = prod(sys.radices[p - 1] for p in positions)
-    if window != rbar:
+    count = len(radix.radices)
+    if not 1 <= start <= count or not 1 <= width <= count:
+        raise ValueError(f"window (start={start}, width={width}) outside [1, {count}]")
+    window = [(start - 1 + k) % count for k in range(width)]
+    period = prod(radix.radices[:width])
+    if prod(radix.radices[p] for p in window) != period:
         raise ValueError(
             "digit window does not cover one full radix period; "
             "this remainder layout has no size-l/rbar index set"
         )
-    out = []
-    for t in range(sys.capacity):
-        digits = sys.encode(t).digits
-        if all(digits[p - 1] == 0 for p in positions):
-            out.append(t)
-    assert len(out) * rbar == sys.capacity
-    return tuple(out)
+    out = tuple(
+        t for t in range(radix.capacity)
+        if all(t // radix.weights[p] % radix.radices[p] == 0 for p in window)
+    )
+    assert len(out) * period == radix.capacity
+    return out

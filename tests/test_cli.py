@@ -162,6 +162,7 @@ INVALID = [
     (["sweep", "--mode", "homogeneous", "--u", "1", "--rbar", "2", "--out", "missing_dir/x"],
      "--out"),
     (["nbar-sweep", "--rbar", "2", "--nbar", "2"], "--nbar"),
+    (["nbar-sweep", "--rbar", "3", "--nbar", "3"], "--nbar"),
 ]
 
 
@@ -292,3 +293,16 @@ def test_main_nbar_sweep_trend(tmp_path):
     # rows for nbar = 3 and nbar = 4
     data = [l for l in text.strip().split("\n")[1:] if not l.startswith("#")]
     assert len(data) == 6 + 8
+
+
+def test_main_nbar_sweep_starts_at_rbar_plus_one(capsys):
+    # the range starts at nbar = rbar + 1, so rbar = 3 sweeps from nbar = 4
+    assert main(["nbar-sweep", "--rbar", "3", "--nbar", "4", "--trials", "0"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == CSV_HEADER
+    data = [l for l in lines[1:] if not l.startswith("#")]
+    assert len(data) == 8
+    assert all(l.split(",")[3] == "4" for l in data)
+    trend = [l for l in lines if l.startswith("# trend: ")]
+    assert len(trend) == 1
+    assert trend[0].startswith("# trend: nbar=4 ") and ";" not in trend[0]

@@ -1,15 +1,9 @@
-import itertools
 import random
+from math import prod
 
 import pytest
 
-from rackrepair.radix import (
-    DigitVector,
-    RadixSystem,
-    index_set_c1,
-    index_set_c2,
-    weight_dwy,
-)
+from rackrepair.radix import DigitVector, RadixSystem, index_set
 
 
 def test_system_weights_and_capacity():
@@ -72,12 +66,15 @@ def test_digit_vector_str():
 
 
 def test_weight_dwy_examples():
-    assert weight_dwy(0, 1, (2, 3)) == 1  # empty product
-    assert weight_dwy(0, 2, (2, 3)) == 2
-    assert weight_dwy(1, 2, (2, 3)) == 12  # 6 * 2
+    # d_(w,y) is the weight at flat position w*m + y
+    sys = RadixSystem.multi_base((2, 3), 4)
+    assert sys.weights[0] == 1  # (w, y) = (0, 1): empty product
+    assert sys.weights[1] == 2  # (0, 2)
+    assert sys.weights[3] == 12  # (1, 2): 6 * 2
 
 
 def test_weight_dwy_is_system_weight():
+    # d_(w,y) = rbar^w * p_1 * ... * p_(y-1)
     for primes in ((2, 3), (2, 2), (3, 5, 2)):
         m = len(primes)
         nprime = 3
@@ -85,17 +82,11 @@ def test_weight_dwy_is_system_weight():
         for w in range(nprime):
             for y in range(1, m + 1):
                 flat = w * m + y
-                assert weight_dwy(w, y, primes) == sys.weights[flat - 1]
+                d = prod(primes) ** w * prod(primes[: y - 1])
+                assert sys.weights[flat - 1] == d
                 # and equals the value of the unit digit vector at that position
                 unit = tuple(1 if i == flat - 1 else 0 for i in range(nprime * m))
-                assert weight_dwy(w, y, primes) == sys.decode(DigitVector(unit))
-
-
-def test_weight_dwy_validation():
-    with pytest.raises(ValueError):
-        weight_dwy(-1, 1, (2, 3))
-    with pytest.raises(ValueError):
-        weight_dwy(0, 3, (2, 3))
+                assert sys.decode(DigitVector(unit)) == d
 
 
 def test_multi_base_layout():
@@ -106,54 +97,58 @@ def test_multi_base_layout():
 
 
 def test_index_set_c1_examples():
-    assert index_set_c1(2, 3, 2) == (0, 1, 4, 5)
-    assert index_set_c1(1, 1, 2) == (0,)
+    # basic construction: rack i keeps the t whose i-th rbar-ary digit is zero
+    binary = RadixSystem.uniform(2, 3)
+    assert index_set(binary, 2, 1) == (0, 1, 4, 5)
+    assert index_set(RadixSystem.uniform(2, 1), 1, 1) == (0,)
     for i in (1, 2, 3):
-        assert len(index_set_c1(i, 3, 2)) == 2**2
+        assert len(index_set(binary, i, 1)) == 2**2
+    # composite rbar, which the basic construction admits
+    assert index_set(RadixSystem.uniform(4, 2), 1, 1) == (0, 4, 8, 12)
+    assert index_set(RadixSystem.uniform(4, 2), 2, 1) == (0, 1, 2, 3)
+    assert index_set(RadixSystem.uniform(6, 2), 1, 1) == (0, 6, 12, 18, 24, 30)
+    assert index_set(RadixSystem.uniform(6, 3), 2, 1) == tuple(
+        t for t in range(216) if (t // 6) % 6 == 0
+    )
     with pytest.raises(ValueError):
-        index_set_c1(0, 3, 2)
+        index_set(binary, 0, 1)
     with pytest.raises(ValueError):
-        index_set_c1(4, 3, 2)
+        index_set(binary, 4, 1)
 
 
 def test_index_set_c1_cardinality():
-    for nbar, rbar in ((3, 2), (4, 2), (3, 3)):
+    for nbar, rbar in ((3, 2), (4, 2), (3, 3), (3, 4), (3, 6)):
+        sys = RadixSystem.uniform(rbar, nbar)
         for i in range(1, nbar + 1):
-            assert len(index_set_c1(i, nbar, rbar)) == rbar ** (nbar - 1)
+            assert len(index_set(sys, i, 1)) == rbar ** (nbar - 1)
 
 
 def test_index_set_c2_examples():
     # l = 16, digits t1..t4 with radices (2,2,2,2)
-    assert index_set_c2(0, 1, (2, 2), 2) == (0, 4, 8, 12)  # t1 = t2 = 0
-    # wrapped: w = nprime-1 = 1, y = 2 -> positions 4 and 1
+    sys = RadixSystem.multi_base((2, 2), 4)
+    assert index_set(sys, 1, 2) == (0, 4, 8, 12)  # t1 = t2 = 0
+    # wrapped: rack (w, y) = (1, 2) -> positions 4 and 1
     expect = tuple(
         t for t in range(16)
         if (t >> 3) % 2 == 0 and t % 2 == 0  # t4 = 0 and t1 = 0
     )
-    assert index_set_c2(1, 2, (2, 2), 2) == expect == (0, 2, 4, 6)
+    assert index_set(sys, 4, 2) == expect == (0, 2, 4, 6)
 
 
 def test_index_set_c2_cardinality():
     for primes, nprime in (((2, 2), 2), ((2, 2), 3), ((2, 3), 2)):
         m = len(primes)
-        l = 1
-        for p in primes:
-            l *= p
-        l = l**nprime
-        rbar = l ** (1 / nprime)  # just for clarity; recompute exactly below
-        rbar = 1
-        for p in primes:
-            rbar *= p
-        for w in range(nprime):
-            for y in range(1, m + 1):
-                ts = index_set_c2(w, y, primes, nprime)
-                assert len(ts) * rbar == l
+        rbar = prod(primes)
+        l = rbar**nprime
+        sys = RadixSystem.multi_base(primes, nprime * m)
+        for e in range(1, nprime * m + 1):
+            assert len(index_set(sys, e, m)) * rbar == l
 
 
 def test_index_set_c2_remainder():
     # nbar = 5, primes (2,2): positions 1..5, all radix 2, l = 32
-    ts = index_set_c2(2, 1, (2, 2), 2, h=1)  # tail rack: positions 5, 1
     sys = RadixSystem.multi_base((2, 2), 5)
+    ts = index_set(sys, 5, 2)  # tail rack: positions 5, 1
     expect = tuple(
         t for t in range(32)
         if sys.encode(t).digits[4] == 0 and sys.encode(t).digits[0] == 0
@@ -166,58 +161,42 @@ def test_index_set_c2_rejects_uneven_remainder_window():
     # primes (2,3), nbar = 5: the wrapped window of the tail rack covers
     # radices (2, 2), product 4 != rbar = 6 -> no size-l/rbar index set
     with pytest.raises(ValueError):
-        index_set_c2(2, 1, (2, 3), 2, h=1)
+        index_set(RadixSystem.multi_base((2, 3), 5), 5, 2)
 
 
 def test_index_set_c2_validation():
-    with pytest.raises(ValueError):
-        index_set_c2(0, 1, (2, 2), 1)  # nprime < 2
-    with pytest.raises(ValueError):
-        index_set_c2(0, 3, (2, 2), 2)  # y out of range
-    with pytest.raises(ValueError):
-        index_set_c2(2, 1, (2, 2), 2)  # w beyond the blocks when h = 0
-    with pytest.raises(ValueError):
-        index_set_c2(2, 2, (2, 2), 2, h=1)  # tail rack has only y in [1, h]
-
-
-def test_index_set_c1_is_single_prime_c2():
-    # the rbar-ary system is the m = 1 multi-base system
-    for nbar, rbar in ((3, 2), (4, 2), (2, 3)):
-        for i in range(1, nbar + 1):
-            assert index_set_c1(i, nbar, rbar) == index_set_c2(i - 1, 1, (rbar,), nbar)
+    sys = RadixSystem.multi_base((2, 2), 4)
+    for start, width in ((0, 2), (5, 2), (1, 0), (1, 5)):
+        with pytest.raises(ValueError):
+            index_set(sys, start, width)
 
 
 def test_coset_decomposition_block_racks():
     # {t + s*d_(w,y)} tiles [0, l-1] exactly for the unwrapped racks
     for primes, nprime in (((2, 2), 2), ((2, 2), 3), ((2, 3), 2)):
         m = len(primes)
-        rbar = 1
-        for p in primes:
-            rbar *= p
+        rbar = prod(primes)
         l = rbar**nprime
-        for w in range(nprime - 1):
-            for y in range(1, m + 1):
-                d = weight_dwy(w, y, primes)
-                ts = index_set_c2(w, y, primes, nprime)
-                sums = sorted(t + s * d for t in ts for s in range(rbar))
-                assert sums == list(range(l))
+        sys = RadixSystem.multi_base(primes, nprime * m)
+        for e in range(1, (nprime - 1) * m + 1):
+            d = sys.weights[e - 1]
+            ts = index_set(sys, e, m)
+            sums = sorted(t + s * d for t in ts for s in range(rbar))
+            assert sums == list(range(l))
 
 
 def test_coset_decomposition_wrapped_racks():
     # for w = nprime - 1 the sums tile P * [0, l-1] with P = p_1 ... p_(y-1)
     for primes, nprime in (((2, 2), 2), ((2, 3), 2)):
         m = len(primes)
-        rbar = 1
-        for p in primes:
-            rbar *= p
+        rbar = prod(primes)
         l = rbar**nprime
+        sys = RadixSystem.multi_base(primes, nprime * m)
         w = nprime - 1
         for y in range(1, m + 1):
-            d = weight_dwy(w, y, primes)
-            ts = index_set_c2(w, y, primes, nprime)
-            scale = 1
-            for p in primes[: y - 1]:
-                scale *= p
+            d = sys.weights[w * m + y - 1]
+            ts = index_set(sys, w * m + y, m)
+            scale = prod(primes[: y - 1])
             sums = sorted(t + s * d for t in ts for s in range(rbar))
             assert sums == [scale * v for v in range(l)]
 
