@@ -16,7 +16,6 @@ from .constructions import (
     c2_params,
     cor7_params,
     homogeneous_params,
-    monomial_rows,
     repair_family,
     verify_rank_condition,
 )

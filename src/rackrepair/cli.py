@@ -27,7 +27,6 @@ from .constructions import (
     c2_params,
     cor7_params,
     homogeneous_params,
-    monomial_rows,
     verify_rank_condition,
 )
 from .gf import rank_over_base
@@ -73,14 +72,6 @@ class ReportRow:
     enforced: bool  # upper bound is a theorem here (not rendered in CSV)
 
 
-class SweepFailure(RuntimeError):
-    """An audit failed during a sweep; carries the offending transcript."""
-
-    def __init__(self, message, transcript=None):
-        super().__init__(message)
-        self.transcript = transcript
-
-
 def params_from_config(config: ExperimentConfig) -> SchemeParams:
     mode = config.mode
     if mode in ("C1",):
@@ -109,6 +100,21 @@ def random_codeword(instance: CodeInstance, rng: random.Random):
     return encode(message, instance.code)
 
 
+def audited_repairs(session: RepairSession, trials: int, rng: random.Random):
+    """Yield (codeword, transcript, report) for `trials` seeded random
+    codewords; raise RepairError on the first audit failure."""
+    instance, node = session.instance, session.scheme.node
+    for _ in range(trials):
+        codeword = random_codeword(instance, rng)
+        transcript, report = session.run(codeword)
+        result = audit(transcript, report)
+        if not result.ok:
+            raise RepairError(
+                f"audit failed for node {node}: " + "; ".join(result.findings), transcript,
+            )
+        yield codeword, transcript, report
+
+
 def rows_for_instance(
     instance: CodeInstance, trials: int, rng: random.Random
 ) -> list[ReportRow]:
@@ -128,27 +134,16 @@ def rows_for_instance(
         if check.ok:
             session = RepairSession(instance, scheme)
             b = session.b
-            seen_b = set()
-            for _ in range(trials):
-                codeword = random_codeword(instance, rng)
-                transcript, report = session.run(codeword)
-                result = audit(transcript, report)
-                if not result.ok:
-                    raise SweepFailure(
-                        f"audit failed for node {node}: " + "; ".join(result.findings),
-                        transcript,
-                    )
-                seen_b.add(report.b)
+            seen_b = {report.b for _, _, report in audited_repairs(session, trials, rng)}
             if trials > 0:
                 repair_ok = "true"
                 if seen_b != {b}:
-                    raise SweepFailure(
+                    raise RepairError(
                         f"bandwidth depends on the codeword at node {node}: {sorted(seen_b)}"
                     )
         else:
             repair_ok = "false"
-            family = monomial_rows(instance, scheme)
-            b = sum(rank_over_base(r).rank for e, r in enumerate(family, 1) if e != scheme.rack)
+            b = sum(rank_over_base(r).rank for e, r in enumerate(scheme.rows, 1) if e != scheme.rack)
         rows.append(ReportRow(
             mode=params.mode, q=params.q, u=params.u, nbar=params.nbar,
             rbar=params.rbar, rbar_eff=params.rbar_eff, l=params.l,
@@ -363,24 +358,14 @@ def main(argv=None) -> int:
                 sys.stderr.write(f"rank condition failed at node {node}: {check.rank}\n")
                 return 1
             session = RepairSession(instance, check.scheme)
-            rng = random.Random(config.seed)
-            text = ""
-            for trial in range(max(config.trials, 1)):
-                codeword = random_codeword(instance, rng)
-                transcript, report = session.run(codeword)
-                result = audit(transcript, report)
-                if trial == 0:
-                    text += "codeword:\n" + describe_codeword(codeword)
-                    text += describe_transcript(transcript)
-                    text += (
-                        f"b={report.b} b_min={_frac_str(report.bounds.b_min)} "
-                        f"upper={_frac_str(report.bounds.upper)} case={report.bounds.case} "
-                        f"ratio={_ratio_str(report.ratio)}\n"
-                    )
-                if not result.ok:
-                    sys.stderr.write(describe_transcript(transcript))
-                    sys.stderr.write("audit failed: " + "; ".join(result.findings) + "\n")
-                    return 1
+            runs = list(audited_repairs(session, max(config.trials, 1), random.Random(config.seed)))
+            codeword, transcript, report = runs[0]
+            text = (
+                "codeword:\n" + describe_codeword(codeword) + describe_transcript(transcript)
+                + f"b={report.b} b_min={_frac_str(report.bounds.b_min)} "
+                f"upper={_frac_str(report.bounds.upper)} case={report.bounds.case} "
+                f"ratio={_ratio_str(report.ratio)}\n"
+            )
             _write(text, config.out)
             return 0
 
@@ -391,6 +376,8 @@ def main(argv=None) -> int:
             return 0 if summary["bound_violations"] == 0 and summary["audit_failures"] == 0 else 1
 
         # nbar-sweep: basic mode over nbar = rbar + 1 .. config.nbar at fixed rbar
+        if config.mode != "C1":
+            raise ValueError(f"nbar-sweep runs mode C1 only, got --mode {config.mode}")
         if config.rbar is None:
             raise ValueError("nbar-sweep needs --rbar")
         first = config.rbar + 1
@@ -399,7 +386,7 @@ def main(argv=None) -> int:
         rows = []
         max_ratios = []
         for nbar in range(first, config.nbar + 1):
-            sub_config = replace(config, mode="C1", nbar=nbar)
+            sub_config = replace(config, nbar=nbar)
             sub_rows = run_sweep(sub_config)
             rows += sub_rows
             max_ratios.append((nbar, max(r.ratio for r in sub_rows)))
@@ -422,7 +409,7 @@ def main(argv=None) -> int:
         summary = summarize(rows)
         return 0 if summary["bound_violations"] == 0 and summary["audit_failures"] == 0 else 1
 
-    except (SweepFailure, RepairError) as exc:
+    except RepairError as exc:
         sys.stderr.write(f"{exc}\n")
         if exc.transcript is not None:
             sys.stderr.write(describe_transcript(exc.transcript))

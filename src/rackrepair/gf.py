@@ -213,9 +213,6 @@ class FieldElement:
     def trace(self) -> int:
         return self.field.trace(self)
 
-    def order(self) -> int:
-        return self.field.element_order(self)
-
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
             if other.field != self.field:
@@ -349,7 +346,6 @@ class ExtensionField:
             term = (frob @ term) % q
         if np.any(S[1:]):
             raise AssertionError("trace of some element falls outside the base field")
-        self._frobenius = frob
         self._trace_vec = S[0]
         # Bilinear form T[i, j] = tr(x^(i+j)): products never leave the span.
         mono = np.zeros(2 * l - 1, dtype=np.int64)
@@ -415,12 +411,6 @@ class ExtensionField:
         """
         self._check(a)
         return int(self._trace_vec @ a.vec % self.q)
-
-    def trace_product(self, a: FieldElement, b: FieldElement) -> int:
-        """tr(a * b) without forming the product (bilinear trace form)."""
-        self._check(a)
-        self._check(b)
-        return int(a.vec @ self._trace_form @ b.vec % self.q)
 
     def dual_basis(self, basis: Sequence[FieldElement]) -> "DualBasisPair":
         """Dual basis {mu_j} with tr(basis_i * mu_j) = delta_ij.

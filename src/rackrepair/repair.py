@@ -19,13 +19,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constructions import CodeInstance, RepairScheme, SchemeParams, monomial_rows, rack_wy
+from .constructions import CodeInstance, RepairScheme, SchemeParams, rack_wy
 from .gf import FieldElement, expand_in_dual_basis, rank_over_base
 from .rs import dual_weights
 
 
 class RepairError(RuntimeError):
-    """Exact recovery failed; carries the diagnostic transcript."""
+    """A repair or its audit failed; carries the transcript when there is one."""
 
     def __init__(self, message, transcript=None):
         super().__init__(message)
@@ -104,8 +104,8 @@ def bounds(params: SchemeParams, node: int) -> BoundSet:
 
 
 class RepairSession:
-    """Per-node repair context: everything data independent (the monomial
-    rows, per-rack bases and payload maps, the dual basis at the failed
+    """Per-node repair context: everything data independent (per-rack bases
+    and payload maps from the scheme's rows, the dual basis at the failed
     node) is computed once and reused across codewords."""
 
     def __init__(self, instance: CodeInstance, scheme: RepairScheme):
@@ -119,7 +119,7 @@ class RepairSession:
         self.lam = dual_weights(instance.code)
         self.lam_failed_inv = self.lam[scheme.node - 1].inverse()
 
-        rows = monomial_rows(instance, scheme)
+        rows = scheme.rows
         tf = field._trace_form
         q = field.q
         self.helpers = []

@@ -163,6 +163,8 @@ INVALID = [
      "--out"),
     (["nbar-sweep", "--rbar", "2", "--nbar", "2"], "--nbar"),
     (["nbar-sweep", "--rbar", "3", "--nbar", "3"], "--nbar"),
+    (["nbar-sweep", "--mode", "C2", "--primes", "2,2", "--rbar", "2", "--nbar", "3",
+      "--trials", "0"], "--mode"),
 ]
 
 
@@ -224,6 +226,22 @@ def test_rank_failure_row(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "rank condition failed at node 3:" in err
+
+
+def test_audit_failure_exit_1(monkeypatch, capsys):
+    # a failed audit stops sweep and repair alike: exit 1, no report, and
+    # the finding followed by the offending transcript on stderr
+    from rackrepair.repair import AuditResult
+
+    monkeypatch.setattr(
+        "rackrepair.cli.audit", lambda transcript, report: AuditResult(ok=False, findings=("forced",))
+    )
+    for command in ("sweep", "repair"):
+        assert main([command, "--mode", "C1", "--nbar", "3", "--rbar", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("audit failed for node 1: forced\n")
+        assert "transcript: node=1 " in err
 
 
 def test_main_repair_error_exit_1(monkeypatch, capsys):

@@ -1,9 +1,9 @@
 from dataclasses import replace
 
 import pytest
+from family_oracle import FamilyEvaluator
 
 from rackrepair.constructions import (
-    FamilyEvaluator,
     build,
     c1_params,
     c2_params,
@@ -199,14 +199,24 @@ def test_ablated_family_drops_rank():
     assert rank_over_base(values[1:]).rank == 7  # drop one (t, s)
 
 
-def test_evaluations_position_independent():
-    # g(alpha_(e,j)) must not depend on j; checked directly here on top of
-    # the assertion inside verify_rank_condition
-    inst = build(c2_params(3, 2, 6, (2, 2)))
-    scheme = repair_family(inst, 5)
-    ev = FamilyEvaluator(inst, scheme)
-    for e in range(1, 7):
-        assert ev.at(e, 1) == ev.at(e, 2)
+@pytest.mark.parametrize("params", [
+    c1_params(3, 2, 3, 2),
+    c2_params(3, 2, 6, (2, 2)),
+    c2_params(3, 2, 5, (2, 2)),
+    cor7_params(3, 2, 6, 5),
+    homogeneous_params(3, 3, 2),
+    c1_params(5, 4, 3, 2, v=2),
+], ids=["C1", "C2", "C2-remainder", "Cor7", "homogeneous", "C1-q5-v2"])
+def test_evaluations_position_independent(params):
+    # the power-table rows equal direct evaluation at every point, so
+    # g(alpha_(e,j)) does not depend on j; one failed node per rack
+    inst = build(params)
+    for host in range(1, params.nbar + 1):
+        scheme = repair_family(inst, inst.code.node_index(host, 1))
+        ev = FamilyEvaluator(inst, scheme)
+        for e in range(1, params.nbar + 1):
+            for j in range(1, params.u + 1):
+                assert scheme.rows[e - 1] == ev.at(e, j)
 
 
 def test_c1_evaluated_set_is_zeta_u_powers():

@@ -3,9 +3,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from family_oracle import FamilyEvaluator
 
 from rackrepair.constructions import (
-    FamilyEvaluator,
     build,
     c1_params,
     c2_params,
