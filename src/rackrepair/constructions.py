@@ -29,7 +29,6 @@ from .radix import RadixSystem, index_set
 from .rs import CodeSpec
 
 MODES = ("C1", "C2", "C2-remainder", "Cor7", "homogeneous")
-_C2_FAMILY = ("C2", "C2-remainder", "Cor7")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,12 @@
 """Exact arithmetic in B = GF(q) and F = GF(q^l), plus the trace machinery
 (dual bases, ranks over B) that linear repair schemes are built on.
 
+Everything trace-related rests on one object, the trace form
+T[i, j] = tr(x^(i+j)): tr(x^i) is the i-th power sum of the roots of the
+modulus, which Newton's identities give from its coefficients.  tr(a b) is
+a.vec @ T @ b.vec, and the dual of a basis with coefficient rows Z comes
+from one inverse of Z T.
+
 An element of F is a length-l vector of residues mod q, lowest-degree
 coefficient first, reduced modulo a monic irreducible polynomial.  Field
 construction is fully deterministic: the modulus is the first irreducible
@@ -210,9 +216,6 @@ class FieldElement:
     def is_zero(self) -> bool:
         return not self.vec.any()
 
-    def trace(self) -> int:
-        return self.field.trace(self)
-
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
             if other.field != self.field:
@@ -236,12 +239,6 @@ class FieldElement:
             return o
         return FieldElement(self.field, (self.vec - o.vec) % self.field.q)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, (o.vec - self.vec) % self.field.q)
-
     def __neg__(self):
         return FieldElement(self.field, (-self.vec) % self.field.q)
 
@@ -258,12 +255,6 @@ class FieldElement:
         if o is NotImplemented:
             return o
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o * self.inverse()
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
@@ -303,17 +294,23 @@ class FieldElement:
 class ExtensionField:
     """F = GF(q^l) with a certified primitive element and trace machinery.
 
-    Construction performs, in order: primality check on q, deterministic
-    irreducible-modulus search, Frobenius/trace precomputation (with a
-    one-time certification that every trace lands in B), factorization of
-    q^l - 1 by cyclotomic splitting, and certification of the primitive
-    element zeta.  Instances are immutable and safe to share.
+    Construction performs, in order: primality check on q, the int64 bound
+    l (q-1)^2 < 2^63 shared by every residue product (larger q is rejected),
+    deterministic irreducible-modulus search, the trace form
+    T[i, j] = tr(x^(i+j)) from the modulus by Newton's identities,
+    factorization of q^l - 1 by cyclotomic splitting, and certification of
+    the primitive element zeta.  Instances are immutable and safe to share.
     """
 
     def __init__(self, q: int, l: int):
         self.base = PrimeField(q)
         if l < 1:
             raise ValueError("extension degree must be >= 1")
+        if l * (q - 1) ** 2 >= 2**63:
+            raise ValueError(
+                f"q = {q} is too large for int64 residue arithmetic at l = {l}: "
+                "need l * (q-1)^2 < 2^63"
+            )
         self.q = q
         self.l = l
         self.modulus = find_irreducible(q, l)
@@ -324,36 +321,23 @@ class ExtensionField:
         self.zeta = find_primitive_element(self)
 
     def _init_trace(self):
+        # tr(x^i) is the i-th power sum p_i of the roots of the modulus f (the
+        # conjugates x^(q^k) of x), so Newton's identities give it from the
+        # coefficients of f = x^l + c_(l-1) x^(l-1) + ... + c_0:
+        #   p_i = -(sum_{j=1}^{min(i-1, l)} c_(l-j) p_(i-j) + [i <= l] i c_(l-i)).
+        # Each p_i is a residue, so every trace lies in B by construction.
         q, l = self.q, self.l
-        # Frobenius matrix: column i holds (x^i)^q = (x^q)^i mod f.
-        frob = np.zeros((l, l), dtype=np.int64)
-        if l == 1:
-            frob[0, 0] = 1
-        else:
-            x = np.zeros(l, dtype=np.int64)
-            x[1] = 1
-            xq = self._ring.pow(x, q)
-            col = np.zeros(l, dtype=np.int64)
-            col[0] = 1
-            for i in range(l):
-                frob[:, i] = col
-                col = self._ring.mul(col, xq)
-        # Trace-sum matrix S = I + M + ... + M^(l-1); tr(a) = (S @ a)[0].
-        S = np.zeros((l, l), dtype=np.int64)
-        term = np.eye(l, dtype=np.int64)
-        for _ in range(l):
-            S = (S + term) % q
-            term = (frob @ term) % q
-        if np.any(S[1:]):
-            raise AssertionError("trace of some element falls outside the base field")
-        self._trace_vec = S[0]
-        # Bilinear form T[i, j] = tr(x^(i+j)): products never leave the span.
-        mono = np.zeros(2 * l - 1, dtype=np.int64)
-        mono[:l] = self._trace_vec
-        for j in range(l, 2 * l - 1):
-            mono[j] = self._ring.reduction[j - l] @ self._trace_vec % q
-        idx = np.add.outer(np.arange(l), np.arange(l))
-        self._trace_form = mono[idx]
+        c = np.array(self.modulus[:l], dtype=np.int64)
+        p = np.zeros(2 * l - 1, dtype=np.int64)
+        p[0] = l % q
+        for i in range(1, 2 * l - 1):
+            j = min(i - 1, l)
+            acc = int(c[l - j :] @ p[i - j : i])  # at most l * (q-1)^2 < 2^63
+            if i <= l:
+                acc += i * int(c[l - i])
+            p[i] = -acc % q
+        # Bilinear form T[i, j] = tr(x^(i+j)); tr(a) = T[0] @ a.
+        self._trace_form = p[np.add.outer(np.arange(l), np.arange(l))]
 
     # -- identity -----------------------------------------------------------
 
@@ -404,33 +388,31 @@ class ExtensionField:
     # -- trace machinery ------------------------------------------------------
 
     def trace(self, a: FieldElement) -> int:
-        """tr(a) = a + a^q + ... + a^(q^(l-1)), returned as a residue mod q.
-
-        Membership of every trace in B is certified once at construction,
-        so the runtime computation is the equivalent linear form.
-        """
+        """tr(a) = a + a^q + ... + a^(q^(l-1)), returned as a residue mod q:
+        the linear form a -> sum_i a_i tr(x^i), row 0 of the trace form."""
         self._check(a)
-        return int(self._trace_vec @ a.vec % self.q)
+        return int(self._trace_form[0] @ a.vec % self.q)
 
     def dual_basis(self, basis: Sequence[FieldElement]) -> "DualBasisPair":
         """Dual basis {mu_j} with tr(basis_i * mu_j) = delta_ij.
 
-        The Gram matrix G[i][j] = tr(basis_i basis_j) is inverted over B by
-        row-reducing [G | I] with `_rref`: the pivots are 0..l-1 exactly when
-        the input is a basis (otherwise this raises), and the right block is
-        then G^-1.  The Kronecker condition is re-verified exactly before
-        returning.
+        Row i of ZT = Z T, with Z the coefficient rows of the basis and T the
+        trace form, is the functional a -> tr(basis_i * a), so the coefficient
+        rows of the dual basis are the columns of ZT^-1.  Row-reducing
+        [ZT | I] with `_rref` gives pivots 0..l-1 exactly when the input is a
+        basis (otherwise this raises), and the right block is then ZT^-1.
+        The Kronecker condition is re-verified exactly before returning.
         """
         l = self.l
         if len(basis) != l:
             raise ValueError(f"need exactly {l} basis elements")
         Z = np.stack([self._check(b).vec for b in basis])
-        gram = Z @ self._trace_form @ Z.T % self.q
-        R, pivots = _rref(np.concatenate([gram, np.eye(l, dtype=np.int64)], axis=1), self.q)
+        ZT = Z @ self._trace_form % self.q
+        R, pivots = _rref(np.concatenate([ZT, np.eye(l, dtype=np.int64)], axis=1), self.q)
         if pivots != tuple(range(l)):
             raise ValueError("basis is rank deficient over the base field")
-        mu = R[:, l:].T @ Z % self.q
-        if not np.array_equal(Z @ self._trace_form @ mu.T % self.q, np.eye(l, dtype=np.int64)):
+        mu = R[:, l:].T
+        if not np.array_equal(ZT @ mu.T % self.q, np.eye(l, dtype=np.int64)):
             raise AssertionError("dual basis failed the Kronecker condition")
         return DualBasisPair(
             zeta_basis=tuple(basis),
@@ -613,6 +595,6 @@ def expand_in_dual_basis(traces: Sequence[int], pair: DualBasisPair) -> FieldEle
     if len(traces) != len(mu):
         raise ValueError("trace profile length must match the basis size")
     field = mu[0].field
-    t = np.asarray(list(traces), dtype=np.int64) % field.q
+    t = np.asarray(traces, dtype=np.int64) % field.q
     mat = np.stack([m.vec for m in mu])
     return FieldElement(field, t @ mat % field.q)

@@ -106,7 +106,17 @@ def bounds(params: SchemeParams, node: int) -> BoundSet:
 class RepairSession:
     """Per-node repair context: everything data independent (per-rack bases
     and payload maps from the scheme's rows, the dual basis at the failed
-    node) is computed once and reused across codewords."""
+    node) is computed once and reused across codewords.
+
+    Let g_i(e) be row i of rack e's rows, z_i = g_i(host), mu_i the dual
+    basis of the z_i, sigma_e the sum of lam_j c_j over the nodes of rack e
+    and nu the same sum over the surviving host nodes.  The parity check
+    gives tr(z_i lam_c) = -(h_i + tr(z_i nu)), where
+    h_i = sum over helper racks e of tr(g_i(e) sigma_e) is rebuilt from the
+    payloads through each rack's coordinates.  Since
+    sum_i tr(z_i nu) mu_i = nu, the failed symbol is
+    lam_c = -(expand(h) + nu), and the host traces are never formed.
+    """
 
     def __init__(self, instance: CodeInstance, scheme: RepairScheme):
         if not scheme.rank_verified:
@@ -136,10 +146,7 @@ class RepairSession:
                 "coords": profile.coords,
                 "payload_map": basis_mat @ tf % q,  # payload = map @ mu_e
             })
-        host_values = rows[self.host_rack - 1]
-        self.dual_pair = field.dual_basis(host_values)
-        host_mat = np.stack([g.vec for g in host_values])
-        self._host_map = host_mat @ tf % q
+        self.dual_pair = field.dual_basis(rows[self.host_rack - 1])
         self.b = sum(h["coords"].shape[1] for h in self.helpers)
 
     def run(self, codeword) -> tuple[RepairTranscript, BandwidthReport]:
@@ -175,10 +182,7 @@ class RepairSession:
             idx = code.node_index(self.host_rack, m)
             host_symbols.append((idx, codeword[idx - 1]))
             nu = nu + self.lam[idx - 1] * codeword[idx - 1]
-        total = (total + self._host_map @ nu.vec) % q
-
-        traces = (-total) % q
-        lam_c = expand_in_dual_basis([int(t) for t in traces], self.dual_pair)
+        lam_c = -(expand_in_dual_basis(total, self.dual_pair) + nu)
         recovered = lam_c * self.lam_failed_inv
 
         transcript = RepairTranscript(

@@ -165,6 +165,8 @@ INVALID = [
     (["nbar-sweep", "--rbar", "3", "--nbar", "3"], "--nbar"),
     (["nbar-sweep", "--mode", "C2", "--primes", "2,2", "--rbar", "2", "--nbar", "3",
       "--trials", "0"], "--mode"),
+    (["build", "--mode", "homogeneous", "--u", "1", "--q", "2147483659", "--nbar", "3",
+      "--rbar", "2"], "q = "),
 ]
 
 

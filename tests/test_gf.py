@@ -76,6 +76,9 @@ def test_prime_field_rejects_composites():
     assert PrimeField(2).primitive_root == 1
     assert PrimeField(3).primitive_root == 2
     assert PrimeField(7).primitive_root == 3
+    # q = 2^31 + 11 is prime, but 2 (q-1)^2 >= 2^63 would overflow int64
+    with pytest.raises(ValueError, match="q = 2147483659"):
+        GF(2147483659, 2)
 
 
 def test_find_irreducible_known_values():
@@ -242,8 +245,16 @@ def test_trace_hand_values():
 
 
 def test_trace_matches_frobenius_sum_oracle():
-    for q, l in ((3, 2), (3, 4), (2, 3)):
+    # the full trace form, entry by entry, on fields that include q | l
+    # (where tr(1) = l = 0): the oracle also asserts each sum lies in B
+    fields = ((2, 1), (3, 1), (2, 3), (3, 2), (3, 3), (3, 4), (2, 8), (3, 8),
+              (3, 9), (5, 3), (5, 4), (7, 2), (13, 2), (13, 4))
+    for q, l in fields:
         field = GF(q, l)
+        x = field.monomial(1) if l > 1 else field.zero  # x mod f; f = x at l = 1
+        for i in range(l):
+            for j in range(l):
+                assert field._trace_form[i, j] == trace_by_frobenius_sum(x ** (i + j))
         rng = random.Random(l)
         for _ in range(20):
             a = field.random_element(rng)
