@@ -393,6 +393,21 @@ class ExtensionField:
         self._check(a)
         return int(self._trace_form[0] @ a.vec % self.q)
 
+    def mul_matrix(self, a: FieldElement, dtype=np.int64) -> np.ndarray:
+        """The l x l residue matrix M over B with M @ b.vec = (a * b).vec.
+
+        Column j is a * x^j: a shifted up by j (a Toeplitz gather), its part
+        above degree l - 1 folded back through the reduction table.  The fold
+        sums l - 1 residue products in `dtype`, exactly in int64 under the
+        field's bound and in float32 while l (q-1)^2 < 2^24 (checked)."""
+        l, q = self.l, self.q
+        if dtype != np.int64 and l * (q - 1) ** 2 >= 2**24:
+            raise ValueError(f"{np.dtype(dtype).name} cannot hold l (q-1)^2 exactly at q = {q}")
+        pad = np.zeros(l - 1, dtype=dtype)
+        padded = np.concatenate([pad, self._check(a).vec.astype(dtype), pad])
+        shifted = padded[np.subtract.outer(np.arange(2 * l - 1), np.arange(l)) + l - 1]
+        return (shifted[:l] + self._ring.reduction.T.astype(dtype) @ shifted[l:]) % q
+
     def dual_basis(self, basis: Sequence[FieldElement]) -> "DualBasisPair":
         """Dual basis {mu_j} with tr(basis_i * mu_j) = delta_ij.
 
@@ -553,9 +568,12 @@ def factor_field_order(q: int, l: int) -> tuple[int, ...]:
 
 def find_primitive_element(field: ExtensionField) -> FieldElement:
     """First element (counting order) of order q^l - 1, certified against the
-    stored factorization: zeta^((q^l-1)/p) != 1 for every prime factor p."""
+    stored factorization: zeta^((q^l-1)/p) != 1 for every prime factor p.
+
+    For l > 1 the scan starts at the first non-constant candidate (counter
+    q): a constant lies in B*, whose order q - 1 is below q^l - 1."""
     checks = [field.order // p for p in sorted(set(field.order_factorization))]
-    counter = 1
+    counter = field.q if field.l > 1 else 1
     while True:
         vec = np.zeros(field.l, dtype=np.int64)
         m = counter

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constructions import CodeInstance, RepairScheme, SchemeParams, rack_wy
-from .gf import FieldElement, expand_in_dual_basis, rank_over_base
+from .gf import FieldElement, rank_over_base
 from .rs import dual_weights
 
 
@@ -104,18 +104,25 @@ def bounds(params: SchemeParams, node: int) -> BoundSet:
 
 
 class RepairSession:
-    """Per-node repair context: everything data independent (per-rack bases
-    and payload maps from the scheme's rows, the dual basis at the failed
-    node) is computed once and reused across codewords.
+    """Per-node repair, compiled once into residue matrices over B and run
+    on any number of codewords.
 
     Let g_i(e) be row i of rack e's rows, z_i = g_i(host), mu_i the dual
-    basis of the z_i, sigma_e the sum of lam_j c_j over the nodes of rack e
-    and nu the same sum over the surviving host nodes.  The parity check
-    gives tr(z_i lam_c) = -(h_i + tr(z_i nu)), where
-    h_i = sum over helper racks e of tr(g_i(e) sigma_e) is rebuilt from the
-    payloads through each rack's coordinates.  Since
-    sum_i tr(z_i nu) mu_i = nu, the failed symbol is
-    lam_c = -(expand(h) + nu), and the host traces are never formed.
+    basis of the z_i, sigma_e the sum of lam_j c_j over rack e and nu that
+    sum over the surviving host nodes.  Helper rack e sends
+    payload_e = P_e @ sigma_e, the traces against the first maximal
+    independent subset of its rows (P_e = basis rows @ T); their traces
+    against all rows are h = sum_e coords_e @ payload_e.  The parity check
+    gives tr(z_i lam_f c_f) = -(h_i + tr(z_i nu)), so
+    c_f = H (expand(h) + nu) with host map H = -M(lam_f^-1).  The plan is
+    P_e and one decoder [H | D_e ...], D_e = H mu^T coords_e; a run is one
+    batched product of the code's weight stack M(lambda_i) with the stacked
+    symbols, one product per helper rack and one decoder product.
+
+    Every product and running sum stays below n l (q-1)^2, so it is exact
+    in float32 below 2^24 and in int64 otherwise (`residue_dtype`).  The
+    failed symbol is not read: its row of the stack is zero, and it appears
+    only as `expected`.
     """
 
     def __init__(self, instance: CodeInstance, scheme: RepairScheme):
@@ -123,71 +130,71 @@ class RepairSession:
             raise ValueError("refusing to repair: rank condition not verified for this scheme")
         self.instance = instance
         self.scheme = scheme
-        params = instance.params
-        field = instance.field
-        self.host_rack, self.failed_j = instance.code.rack_of(scheme.node)
-        self.lam = dual_weights(instance.code)
-        self.lam_failed_inv = self.lam[scheme.node - 1].inverse()
+        params, field, code = instance.params, instance.field, instance.code
+        q, node = field.q, scheme.node
+        self.host_rack, failed_j = code.rack_of(node)
+        self.weights = code.weight_matrices
+        dtype = self.weights.dtype
 
         rows = scheme.rows
-        tf = field._trace_form
-        q = field.q
-        self.helpers = []
+        tf = field._trace_form.astype(dtype)
+        host_map = -field.mul_matrix(dual_weights(code)[node - 1].inverse(), dtype) % q
+        mu = np.stack([m.vec for m in field.dual_basis(rows[self.host_rack - 1]).mu_basis])
+        expand = host_map @ mu.T.astype(dtype) % q
+        self.helpers = []  # (rack, basis, payload map P_e)
+        blocks = [host_map]
         for e in range(1, params.nbar + 1):
             if e == self.host_rack:
                 continue
             values = rows[e - 1]
             profile = rank_over_base(values)
             basis = tuple(values[p] for p in profile.pivots)
-            basis_mat = np.stack([b.vec for b in basis])
-            self.helpers.append({
-                "rack": e,
-                "basis": basis,
-                "coords": profile.coords,
-                "payload_map": basis_mat @ tf % q,  # payload = map @ mu_e
-            })
-        self.dual_pair = field.dual_basis(rows[self.host_rack - 1])
-        self.b = sum(h["coords"].shape[1] for h in self.helpers)
+            basis_mat = np.stack([b.vec for b in basis]).astype(dtype)
+            self.helpers.append((e, basis, basis_mat @ tf % q))
+            blocks.append(expand @ profile.coords.astype(dtype) % q)
+        self.decoder = np.concatenate(blocks, axis=1)  # l x (l + b): [nu, payloads...] -> c_f
+        self.b = self.decoder.shape[1] - params.l
+        self.host_nodes = tuple(code.node_index(self.host_rack, m)
+                                for m in range(1, params.u + 1) if m != failed_j)
+        bset = bounds(params, node)
+        self.report = BandwidthReport(
+            node=node,
+            per_rack=tuple((e, len(basis)) for e, basis, _ in self.helpers),
+            b=self.b,
+            bounds=bset,
+            ratio=Fraction(self.b) / bset.b_min,
+            repair_ok=True,
+        )
 
     def run(self, codeword) -> tuple[RepairTranscript, BandwidthReport]:
         instance, scheme = self.instance, self.scheme
-        params, field, code = instance.params, instance.field, instance.code
+        params, field = instance.params, instance.field
         q = field.q
         if len(codeword) != params.n:
             raise ValueError("codeword length does not match n")
         node = scheme.node
         expected = codeword[node - 1]
 
-        total = np.zeros(params.l, dtype=np.int64)
+        vecs = [c.vec for c in codeword]
+        vecs[node - 1] = field.zero.vec
+        symbols = np.array(vecs, dtype=self.weights.dtype)[:, :, None]
+        # sigma_e for every rack; the host rack's sum is nu
+        sigma = (self.weights @ symbols).reshape(params.nbar, params.u, params.l).sum(axis=1) % q
+        parts = [sigma[self.host_rack - 1]]
         messages = []
-        for h in self.helpers:
-            e = h["rack"]
-            mu = field.zero
-            for m in range(1, params.u + 1):
-                idx = code.node_index(e, m)
-                mu = mu + self.lam[idx - 1] * codeword[idx - 1]
-            payload = h["payload_map"] @ mu.vec % q
-            total = (total + h["coords"] @ payload) % q
+        for e, basis, payload_map in self.helpers:
+            payload = payload_map @ sigma[e - 1] % q
+            parts.append(payload)
             messages.append(RackMessage(
-                rack=e,
-                basis_elems=h["basis"],
-                payload=tuple(int(x) for x in payload),
+                rack=e, basis_elems=basis, payload=tuple(payload.astype(np.int64).tolist()),
             ))
-
-        host_symbols = []
-        nu = field.zero
-        for m in range(1, params.u + 1):
-            if m == self.failed_j:
-                continue
-            idx = code.node_index(self.host_rack, m)
-            host_symbols.append((idx, codeword[idx - 1]))
-            nu = nu + self.lam[idx - 1] * codeword[idx - 1]
-        lam_c = -(expand_in_dual_basis(total, self.dual_pair) + nu)
-        recovered = lam_c * self.lam_failed_inv
+        vec = self.decoder @ np.concatenate(parts) % q
+        recovered = FieldElement(field, vec.astype(np.int64))
 
         transcript = RepairTranscript(
             node=node, host_rack=self.host_rack, messages=tuple(messages),
-            host_symbols=tuple(host_symbols), recovered=recovered, expected=expected,
+            host_symbols=tuple((idx, codeword[idx - 1]) for idx in self.host_nodes),
+            recovered=recovered, expected=expected,
         )
         payload_count = sum(len(m.payload) for m in messages)
         if payload_count != self.b:
@@ -197,16 +204,7 @@ class RepairSession:
                 f"exact recovery failed for node {node}: got {recovered!r}, "
                 f"expected {expected!r}", transcript,
             )
-        bset = bounds(params, node)
-        report = BandwidthReport(
-            node=node,
-            per_rack=tuple((h["rack"], h["coords"].shape[1]) for h in self.helpers),
-            b=self.b,
-            bounds=bset,
-            ratio=Fraction(self.b) / bset.b_min,
-            repair_ok=True,
-        )
-        return transcript, report
+        return transcript, self.report
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,23 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .gf import ExtensionField, FieldElement
+
+
+def residue_dtype(q: int, l: int, n: int):
+    """The dtype of every compiled repair product of a length-n code.
+
+    Each product entry and running sum of a repair plan or run adds at most
+    n l residue products, so stays below n l (q-1)^2: exact in float32 below
+    2^24, in int64 below 2^63, and not exact at all beyond."""
+    bound = n * l * (q - 1) ** 2
+    if bound < 2**24:
+        return np.float32
+    if bound < 2**63:
+        return np.int64
+    raise ValueError(f"n l (q-1)^2 = {bound} overflows int64 repair arithmetic")
 
 
 @dataclass(frozen=True)
@@ -39,6 +55,17 @@ class CodeSpec:
     @property
     def r(self) -> int:
         return self.n - self.k
+
+    @functools.cached_property
+    def weight_matrices(self) -> np.ndarray:
+        """The (n, l, l) stack of multiplication matrices M(lambda_i) of the
+        dual weights, in the code's `residue_dtype`: row i maps c_i to
+        lambda_i c_i.  Built once per code, on first use."""
+        field = self.field
+        out = np.empty((self.n, field.l, field.l), dtype=residue_dtype(field.q, field.l, self.n))
+        for i, lam in enumerate(dual_weights(self)):
+            out[i] = field.mul_matrix(lam, out.dtype)
+        return out
 
     def node_index(self, e: int, m: int) -> int:
         """Flat 1-based index of the m-th node in rack e."""

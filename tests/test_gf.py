@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from rackrepair.gf import (
@@ -127,13 +128,15 @@ def test_factor_field_order_product():
 
 
 def test_primitive_element_certified():
-    for q, l in ((3, 1), (3, 2), (2, 3), (3, 8)):
+    for q, l in ((3, 1), (3, 2), (2, 3), (3, 8), (65537, 4)):
         field = GF(q, l)
         zeta = field.zeta
         assert zeta ** (q**l - 1) == field.one
         for p in set(field.order_factorization):
             assert zeta ** ((q**l - 1) // p) != field.one
         assert find_primitive_element(field) == zeta  # deterministic
+    # the scan skips the q constants, which cannot have order q^l - 1
+    assert GF(65537, 4).zeta.coeffs == (4, 1, 0, 0)
 
 
 def test_primitive_element_small_cases():
@@ -179,6 +182,26 @@ def test_field_laws_randomized_gf3_8():
         assert a - b == -(b - a)
         if not b.is_zero():
             assert (a / b) * b == a
+
+
+def test_mul_matrix_matches_product():
+    # column j of M(a) is a * x^j, so M(a) @ b.vec is the product's vector
+    for q, l in [*SMALL_FIELDS, (3, 1), (3, 64), (13, 64)]:
+        field = GF(q, l)
+        rng = random.Random(q * l)
+        for _ in range(5):
+            a, b = field.random_element(rng), field.random_element(rng)
+            M = field.mul_matrix(a)
+            assert M.shape == (l, l) and M.dtype == np.int64
+            assert np.array_equal(M @ b.vec % q, (a * b).vec)
+            assert np.array_equal(field.mul_matrix(a, np.float32), M)
+
+
+def test_mul_matrix_float32_needs_exact_sums():
+    field = GF(4099, 2)  # 2 * 4098^2 >= 2^24
+    with pytest.raises(ValueError, match="float32"):
+        field.mul_matrix(field.one, np.float32)
+    assert np.array_equal(field.mul_matrix(field.scalar(5)), 5 * np.eye(2, dtype=np.int64))
 
 
 def test_division_by_zero():

@@ -2,8 +2,10 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from family_oracle import FamilyEvaluator
+from repair_oracle import reference_repair
 
 from rackrepair.constructions import (
     build,
@@ -16,6 +18,7 @@ from rackrepair.constructions import (
 )
 from rackrepair.gf import rank_over_base
 from rackrepair.repair import RepairError, RepairSession, audit, bounds
+from rackrepair import rs
 from rackrepair.rs import encode
 
 
@@ -152,6 +155,75 @@ def test_repair_exact_homogeneous():
             assert transcript.recovered == word[node - 1]
             assert transcript.host_symbols == ()  # u = 1: no local survivors
             assert audit(transcript, report).ok
+
+
+@pytest.mark.parametrize("params", [
+    c1_params(3, 2, 3, 2),
+    c2_params(3, 2, 6, (2, 2)),
+    c2_params(3, 2, 5, (2, 2)),
+    cor7_params(3, 2, 6, 5),
+    homogeneous_params(3, 3, 2),
+    c1_params(5, 4, 3, 2, v=2),
+    c2_params(13, 3, 6, (2, 2)),
+], ids=["C1", "C2", "C2-remainder", "Cor7", "homogeneous", "C1-q5-v2", "C2-q13"])
+def test_run_matches_reference_repair(params):
+    # every payload, its rack order and the recovered symbol equal the
+    # field-arithmetic reference on every node
+    inst = build(params)
+    rng = random.Random(37)
+    for node in range(1, params.n + 1):
+        check = verify_rank_condition(inst, node)
+        assert check.ok
+        session = RepairSession(inst, check.scheme)
+        for _ in range(3):
+            word = random_codeword(inst, rng)
+            transcript, _ = session.run(word)
+            messages, recovered = reference_repair(inst, check.scheme, word)
+            assert tuple((m.rack, m.payload) for m in transcript.messages) == messages
+            assert transcript.recovered == recovered == word[node - 1]
+
+
+def test_int64_plan_matches_float32(monkeypatch):
+    # c2 runs in float32; the int64 plan, taken when n l (q-1)^2 >= 2^24,
+    # must give the same transcripts
+    params = c2_params(3, 2, 6, (2, 2))
+    words = [random_codeword(build(params), random.Random(43)) for _ in range(2)]
+
+    def transcripts():
+        inst = build(params)
+        dtype = inst.code.weight_matrices.dtype
+        out = []
+        for node in range(1, params.n + 1):
+            session = RepairSession(inst, verify_rank_condition(inst, node).scheme)
+            out += [session.run(word)[0] for word in words]
+        return dtype, out
+
+    dtype32, float32_runs = transcripts()
+    monkeypatch.setattr(rs, "residue_dtype", lambda q, l, n: np.int64)
+    dtype64, int64_runs = transcripts()
+    assert (dtype32, dtype64) == (np.float32, np.int64)
+    assert int64_runs == float32_runs
+
+
+def test_residue_dtype_bound():
+    assert rs.residue_dtype(3, 64, 12) == np.float32
+    assert rs.residue_dtype(13, 64, 18) == np.float32
+    assert rs.residue_dtype(2, 2**22, 4) == np.int64  # 4 l (q-1)^2 = 2^24
+    with pytest.raises(ValueError, match="overflows int64"):
+        rs.residue_dtype(2**31, 2, 2)
+
+
+def test_failed_symbol_is_not_read():
+    inst = build(c2_params(3, 2, 6, (2, 2)))
+    rng = random.Random(41)
+    for node in range(1, inst.params.n + 1):
+        session = RepairSession(inst, verify_rank_condition(inst, node).scheme)
+        word = list(random_codeword(inst, rng))
+        orig = word[node - 1]
+        word[node - 1] = orig + 1
+        with pytest.raises(RepairError) as err:
+            session.run(tuple(word))
+        assert err.value.transcript.recovered == orig
 
 
 def test_repair_requires_verified_scheme():
