@@ -187,7 +187,9 @@ def test_int64_plan_matches_float32(monkeypatch):
     # c2 runs in float32; the int64 plan, taken when n l (q-1)^2 >= 2^24,
     # must give the same transcripts
     params = c2_params(3, 2, 6, (2, 2))
-    words = [random_codeword(build(params), random.Random(43)) for _ in range(2)]
+    rng = random.Random(43)
+    inst = build(params)
+    words = [random_codeword(inst, rng) for _ in range(2)]
 
     def transcripts():
         inst = build(params)
