@@ -398,11 +398,9 @@ class ExtensionField:
 
         Column j is a * x^j: a shifted up by j (a Toeplitz gather), its part
         above degree l - 1 folded back through the reduction table.  The fold
-        sums l - 1 residue products in `dtype`, exactly in int64 under the
-        field's bound and in float32 while l (q-1)^2 < 2^24 (checked)."""
+        sums l - 1 residue products in `dtype`: exact in int64 under the
+        field's bound, and in any `rs.residue_dtype` the caller passes."""
         l, q = self.l, self.q
-        if dtype != np.int64 and l * (q - 1) ** 2 >= 2**24:
-            raise ValueError(f"{np.dtype(dtype).name} cannot hold l (q-1)^2 exactly at q = {q}")
         pad = np.zeros(l - 1, dtype=dtype)
         padded = np.concatenate([pad, self._check(a).vec.astype(dtype), pad])
         shifted = padded[np.subtract.outer(np.arange(2 * l - 1), np.arange(l)) + l - 1]
@@ -459,7 +457,7 @@ class ExtensionField:
         }
 
     def _check(self, a: FieldElement) -> FieldElement:
-        if not isinstance(a, FieldElement) or a.field != self:
+        if not isinstance(a, FieldElement) or (a.field is not self and a.field != self):
             raise ValueError("element does not belong to this field spec")
         return a
 

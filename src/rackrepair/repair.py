@@ -119,10 +119,11 @@ class RepairSession:
     batched product of the code's weight stack M(lambda_i) with the stacked
     symbols, one product per helper rack and one decoder product.
 
-    Every product and running sum stays below n l (q-1)^2, so it is exact
-    in float32 below 2^24 and in int64 otherwise (`residue_dtype`).  The
-    failed symbol is not read: its row of the stack is zero, and it appears
-    only as `expected`.
+    Every product and running sum stays below max(u, nbar) l (q-1)^2, so it
+    is exact in the dtype `residue_dtype` picks for that bound: float32 below
+    2^24, int64 below 2^63, Python integers beyond.  The symbols must belong
+    to the code's field (`ValueError` otherwise).  The failed symbol is not
+    read: its row of the stack is zero, and it appears only as `expected`.
     """
 
     def __init__(self, instance: CodeInstance, scheme: RepairScheme):
@@ -175,7 +176,7 @@ class RepairSession:
         node = scheme.node
         expected = codeword[node - 1]
 
-        vecs = [c.vec for c in codeword]
+        vecs = [field._check(c).vec for c in codeword]
         vecs[node - 1] = field.zero.vec
         symbols = np.array(vecs, dtype=self.weights.dtype)[:, :, None]
         # sigma_e for every rack; the host rack's sum is nu

@@ -16,18 +16,20 @@ import numpy as np
 from .gf import ExtensionField, FieldElement
 
 
-def residue_dtype(q: int, l: int, n: int):
-    """The dtype of every compiled repair product of a length-n code.
+def residue_dtype(q: int, l: int, u: int, nbar: int):
+    """The dtype of every compiled repair product of a code with nbar racks
+    of u nodes over GF(q^l).
 
-    Each product entry and running sum of a repair plan or run adds at most
-    n l residue products, so stays below n l (q-1)^2: exact in float32 below
-    2^24, in int64 below 2^63, and not exact at all beyond."""
-    bound = n * l * (q - 1) ** 2
+    A plan or run product sums at most l residue products, a rack's sum adds
+    u of those, and the decoder product sums l + b <= nbar l; so every entry
+    stays below max(u, nbar) l (q-1)^2: exact in float32 below 2^24, in int64
+    below 2^63, and in Python integers (object arrays) beyond."""
+    bound = max(u, nbar) * l * (q - 1) ** 2
     if bound < 2**24:
         return np.float32
     if bound < 2**63:
         return np.int64
-    raise ValueError(f"n l (q-1)^2 = {bound} overflows int64 repair arithmetic")
+    return object
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class CodeSpec:
         dual weights, in the code's `residue_dtype`: row i maps c_i to
         lambda_i c_i.  Built once per code, on first use."""
         field = self.field
-        out = np.empty((self.n, field.l, field.l), dtype=residue_dtype(field.q, field.l, self.n))
+        out = np.empty((self.n, field.l, field.l), dtype=residue_dtype(field.q, field.l, self.u, self.nbar))
         for i, lam in enumerate(dual_weights(self)):
             out[i] = field.mul_matrix(lam, out.dtype)
         return out

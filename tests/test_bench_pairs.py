@@ -6,7 +6,12 @@ from bench_pairs import summarize  # noqa: E402
 
 
 def _runs(values):
-    return [{"metrics": {"repair_p50_ms": v, "ok_frac": 1.0}} for v in values]
+    return [{"correct": True, "failed": 0, "metrics": {"repair_p50_ms": v, "ok_frac": 1.0}}
+            for v in values]
+
+
+def _claim(base, change, better):
+    return summarize({"base": base, "change": change}, better)["repair_p50_ms"]["claim_rule_holds"]
 
 
 def test_summarize_wins_and_claim_rule():
@@ -23,7 +28,18 @@ def test_summarize_wins_and_claim_rule():
     assert (ok["change_wins"], ok["change_losses"]) == (0, 0)  # ties count for neither
     assert not ok["claim_rule_holds"]
 
+    # a gain does not count when the change fails more operations or a run
+    # is not correct
+    failing = _runs(change)
+    failing[3]["failed"] = 1
+    assert not _claim(_runs(base), failing, better)
+    base_failing = _runs(base)
+    base_failing[0]["failed"] = 1
+    assert _claim(base_failing, failing, better)
+    wrong = _runs(change)
+    wrong[5]["correct"] = False
+    assert not _claim(_runs(base), wrong, better)
+
     # seven wins of ten are not enough, however large the gap
     change[0] = change[1] = 0.5
-    assert not summarize({"base": _runs(base), "change": _runs(change)}, better)["repair_p50_ms"][
-        "claim_rule_holds"]
+    assert not _claim(_runs(base), _runs(change), better)

@@ -16,7 +16,7 @@ from rackrepair.constructions import (
     repair_family,
     verify_rank_condition,
 )
-from rackrepair.gf import rank_over_base
+from rackrepair.gf import GF, rank_over_base
 from rackrepair.repair import RepairError, RepairSession, audit, bounds
 from rackrepair import rs
 from rackrepair.rs import encode
@@ -183,9 +183,11 @@ def test_run_matches_reference_repair(params):
             assert transcript.recovered == recovered == word[node - 1]
 
 
-def test_int64_plan_matches_float32(monkeypatch):
-    # c2 runs in float32; the int64 plan, taken when n l (q-1)^2 >= 2^24,
-    # must give the same transcripts
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_wide_plan_matches_float32(monkeypatch, dtype):
+    # c2 runs in float32; the int64 plan, taken when max(u, nbar) l (q-1)^2
+    # >= 2^24, and the Python-integer plan, taken at >= 2^63, must give the
+    # same transcripts
     params = c2_params(3, 2, 6, (2, 2))
     rng = random.Random(43)
     inst = build(params)
@@ -201,18 +203,36 @@ def test_int64_plan_matches_float32(monkeypatch):
         return dtype, out
 
     dtype32, float32_runs = transcripts()
-    monkeypatch.setattr(rs, "residue_dtype", lambda q, l, n: np.int64)
-    dtype64, int64_runs = transcripts()
-    assert (dtype32, dtype64) == (np.float32, np.int64)
-    assert int64_runs == float32_runs
+    monkeypatch.setattr(rs, "residue_dtype", lambda *_: dtype)
+    wide_dtype, wide_runs = transcripts()
+    assert (dtype32, wide_dtype) == (np.float32, dtype)
+    assert wide_runs == float32_runs
 
 
 def test_residue_dtype_bound():
-    assert rs.residue_dtype(3, 64, 12) == np.float32
-    assert rs.residue_dtype(13, 64, 18) == np.float32
-    assert rs.residue_dtype(2, 2**22, 4) == np.int64  # 4 l (q-1)^2 = 2^24
-    with pytest.raises(ValueError, match="overflows int64"):
-        rs.residue_dtype(2**31, 2, 2)
+    # the bound is max(u, nbar) l (q-1)^2, not n l (q-1)^2
+    assert rs.residue_dtype(3, 64, 2, 6) == np.float32  # c2
+    assert rs.residue_dtype(13, 64, 3, 6) == np.float32  # C2 q=13
+    assert rs.residue_dtype(2, 2**12, 2**12 - 1, 3) == np.float32
+    assert rs.residue_dtype(2, 2**12, 2**12, 3) == np.int64  # 2^24
+    assert rs.residue_dtype(2, 2**12, 3, 2**12) == np.int64
+    assert rs.residue_dtype(2, 2**31, 2**32 - 1, 1) == np.int64
+    assert rs.residue_dtype(2, 2**31, 2**32, 1) is object  # 2^63
+    # nbar=3, u=1, l=8 over a q that GF(q, 8) accepts (8 (q-1)^2 < 2^63)
+    q = 1_000_000_007
+    assert 8 * (q - 1) ** 2 < 2**63 and rs.residue_dtype(q, 8, 1, 3) is object
+
+
+def test_symbols_from_another_field_are_rejected():
+    # a GF(13^64) symbol fits the c2 stack's shape but not its field
+    inst = build(c2_params(3, 2, 6, (2, 2)))
+    session = RepairSession(inst, verify_rank_condition(inst, 1).scheme)
+    rng = random.Random(47)
+    word = list(random_codeword(inst, rng))
+    for bad in (GF(13, inst.params.l).random_element(rng), 1):
+        word[1] = bad
+        with pytest.raises(ValueError, match="does not belong"):
+            session.run(tuple(word))
 
 
 def test_failed_symbol_is_not_read():

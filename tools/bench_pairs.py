@@ -1,18 +1,19 @@
 """Paired benchmark runs of two checkouts, recorded as one JSON file.
 
     python3 tools/bench_pairs.py --base ../parent --change . \\
-        --workload repair-c2 --pairs 10 --seeds 1,2,3,4,5,6,7,8,9,10 \\
-        --seconds 40 --out BENCH.json
+        --workload repair-c2 --seeds 1,2,3,4,5,6,7,8,9,10 --out BENCH.json
 
-Each pair runs `perfbench/run.py --trace 0` once in each checkout, one run at
-a time, with the same workload, seed and run length; which side runs first
-alternates from pair to pair, and pair i takes seed i of the list (cycling).
-The file records every run's end-to-end metrics, each side's median and
-quartiles per metric, how many pairs the change won per metric (ties count
-for neither side), and whether the claim rule holds: the change wins at
-least nine tenths of the pairs and the medians differ by more than the
-base's interquartile range.  Directions ("better") come from the base
-checkout's BENCHMARK.json.  `--workload` may be given more than once.
+There is one pair per seed.  Each pair runs `perfbench/run.py --trace 0` once
+in each checkout, one run at a time, with the same workload, seed and the
+run length `run_seconds` of the base checkout's BENCHMARK.json; which side
+runs first alternates from pair to pair.  The file records every run's
+end-to-end metrics, each side's median and quartiles per metric, how many
+pairs the change won per metric (ties count for neither side), and whether
+the claim rule holds: the change fails no more operations than the base and
+every change run is correct, it wins at least nine tenths of the pairs, and
+the medians differ by more than the base's interquartile range.  Directions
+("better") also come from the base's BENCHMARK.json.  `--workload` may be
+given more than once.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ def git_sha(checkout: Path) -> str:
 def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
     out = {}
     pairs = len(runs["base"])
+    failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
+    sound = failed["change"] <= failed["base"] and all(r["correct"] for r in runs["change"])
     for name, direction in better.items():
         values = {side: [r["metrics"][name] for r in rs if name in r["metrics"]]
                   for side, rs in runs.items()}
@@ -59,7 +62,7 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
         gap = sign * (stats["base"]["median"] - stats["change"]["median"])
         out[name] = stats | {
             "better": direction, "change_wins": wins, "change_losses": losses,
-            "claim_rule_holds": wins >= 0.9 * pairs
+            "claim_rule_holds": sound and wins >= 0.9 * pairs
             and gap > stats["base"]["q3"] - stats["base"]["q1"],
         }
     return out
@@ -70,25 +73,23 @@ def main(argv=None) -> int:
     parser.add_argument("--base", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seeds", required=True, help="comma-separated benchmark seeds")
-    parser.add_argument("--seconds", type=float, default=40)
+    parser.add_argument("--seeds", required=True, help="comma-separated benchmark seeds, one per pair")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["base"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
 
-    doc = {"pairs": args.pairs, "seconds": args.seconds, "seeds": seeds,
+    doc = {"pairs": len(seeds), "seconds": seconds, "seeds": seeds,
            "git_sha": {side: git_sha(path) for side, path in sides.items()}, "workloads": {}}
     for workload in args.workload:
         runs = {"base": [], "change": []}
-        for i in range(args.pairs):
-            seed = seeds[i % len(seeds)]
+        for i, seed in enumerate(seeds):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                run = run_once(sides[side], workload, seed, args.seconds)
+                run = run_once(sides[side], workload, seed, seconds)
                 runs[side].append(run | {"pair": i, "first": side == order[0]})
                 print(f"{workload} pair {i} {side}: " + " ".join(
                     f"{k}={v:.4g}" for k, v in run["metrics"].items()), file=sys.stderr, flush=True)
