@@ -173,6 +173,39 @@ class RankProfile:
 
 
 # ---------------------------------------------------------------------------
+# compiled products over B: their dtype and their one reduction
+# ---------------------------------------------------------------------------
+
+def residue_dtype(q: int, l: int, u: int, nbar: int):
+    """The dtype of every compiled product of a code with nbar racks of u
+    nodes over GF(q^l): encode, repair plans and repair runs.
+
+    A plan, run or encode product sums at most l residue products (an encode
+    step adds one more), a rack's sum adds u of those, and the decoder
+    product sums l + b <= nbar l; so every entry stays below
+    max(u, nbar) l (q-1)^2 (nbar >= 2 in every code): exact in float32 below
+    2^24, in int64 below 2^63, and in Python integers (object arrays)
+    beyond."""
+    bound = max(u, nbar) * l * (q - 1) ** 2
+    if bound < 2**24:
+        return np.float32
+    if bound < 2**63:
+        return np.int64
+    return object
+
+
+def reduce_residues(a: np.ndarray, q: int) -> np.ndarray:
+    """a mod q, in a's dtype, for an array of integers in a `residue_dtype`.
+
+    float32 entries are integers below 2^24, so a cast to int32, an integer
+    `%` and a cast back are exact, and about ten times cheaper than float32
+    `%`; int64 and object arrays take `%` as they are."""
+    if a.dtype == np.float32:
+        return (a.astype(np.int32) % q).astype(np.float32)
+    return a % q
+
+
+# ---------------------------------------------------------------------------
 # field specs and elements
 # ---------------------------------------------------------------------------
 
@@ -399,12 +432,12 @@ class ExtensionField:
         Column j is a * x^j: a shifted up by j (a Toeplitz gather), its part
         above degree l - 1 folded back through the reduction table.  The fold
         sums l - 1 residue products in `dtype`: exact in int64 under the
-        field's bound, and in any `rs.residue_dtype` the caller passes."""
+        field's bound, and in any `residue_dtype` the caller passes."""
         l, q = self.l, self.q
         pad = np.zeros(l - 1, dtype=dtype)
         padded = np.concatenate([pad, self._check(a).vec.astype(dtype), pad])
         shifted = padded[np.subtract.outer(np.arange(2 * l - 1), np.arange(l)) + l - 1]
-        return (shifted[:l] + self._ring.reduction.T.astype(dtype) @ shifted[l:]) % q
+        return reduce_residues(shifted[:l] + self._ring.reduction.T.astype(dtype) @ shifted[l:], q)
 
     def dual_basis(self, basis: Sequence[FieldElement]) -> "DualBasisPair":
         """Dual basis {mu_j} with tr(basis_i * mu_j) = delta_ij.

@@ -20,8 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constructions import CodeInstance, RepairScheme, SchemeParams, rack_wy
-from .gf import FieldElement, rank_over_base
-from .rs import dual_weights
+from .gf import FieldElement, rank_over_base, reduce_residues
 
 
 class RepairError(RuntimeError):
@@ -115,15 +114,21 @@ class RepairSession:
     against all rows are h = sum_e coords_e @ payload_e.  The parity check
     gives tr(z_i lam_f c_f) = -(h_i + tr(z_i nu)), so
     c_f = H (expand(h) + nu) with host map H = -M(lam_f^-1).  The plan is
-    P_e and one decoder [H | D_e ...], D_e = H mu^T coords_e; a run is one
-    batched product of the code's weight stack M(lambda_i) with the stacked
-    symbols, one product per helper rack and one decoder product.
+    P_e and one decoder [H | D_e ...], D_e = H mu^T coords_e, with H read
+    from the code's stored lambda_f^-1 (no field inverse per node).  A run
+    uses the code's per-rack weight stack: rack e's weights are
+    lambda_(e,j) = w_j lambda_(e,1), w_j in B, so sigma_e is
+    M(lambda_(e,1)) (sum_j w_j c_j), one B-combination and one batched
+    product for all racks (one group per node when a code's weights do not
+    factor so; see `CodeSpec.weight_matrices`); then one product per helper
+    rack and one decoder product.
 
     Every product and running sum stays below max(u, nbar) l (q-1)^2, so it
-    is exact in the dtype `residue_dtype` picks for that bound: float32 below
-    2^24, int64 below 2^63, Python integers beyond.  The symbols must belong
-    to the code's field (`ValueError` otherwise).  The failed symbol is not
-    read: its row of the stack is zero, and it appears only as `expected`.
+    is exact in the dtype `residue_dtype` picks for that bound (float32 below
+    2^24, int64 below 2^63, Python integers beyond), and each is reduced by
+    `reduce_residues`.  The symbols must belong to the code's field
+    (`ValueError` otherwise).  The failed symbol is not read: its row of the
+    stack is zero, and it appears only as `expected`.
     """
 
     def __init__(self, instance: CodeInstance, scheme: RepairScheme):
@@ -136,12 +141,13 @@ class RepairSession:
         self.host_rack, failed_j = code.rack_of(node)
         self.weights = code.weight_matrices
         dtype = self.weights.dtype
+        self.scalars = code.weight_scalars[:, :, None]
 
         rows = scheme.rows
         tf = field._trace_form.astype(dtype)
-        host_map = -field.mul_matrix(dual_weights(code)[node - 1].inverse(), dtype) % q
+        host_map = reduce_residues(-field.mul_matrix(code.weight_inverses[node - 1], dtype), q)
         mu = np.stack([m.vec for m in field.dual_basis(rows[self.host_rack - 1]).mu_basis])
-        expand = host_map @ mu.T.astype(dtype) % q
+        expand = reduce_residues(host_map @ mu.T.astype(dtype), q)
         self.helpers = []  # (rack, basis, payload map P_e)
         blocks = [host_map]
         for e in range(1, params.nbar + 1):
@@ -151,8 +157,8 @@ class RepairSession:
             profile = rank_over_base(values)
             basis = tuple(values[p] for p in profile.pivots)
             basis_mat = np.stack([b.vec for b in basis]).astype(dtype)
-            self.helpers.append((e, basis, basis_mat @ tf % q))
-            blocks.append(expand @ profile.coords.astype(dtype) % q)
+            self.helpers.append((e, basis, reduce_residues(basis_mat @ tf, q)))
+            blocks.append(reduce_residues(expand @ profile.coords.astype(dtype), q))
         self.decoder = np.concatenate(blocks, axis=1)  # l x (l + b): [nu, payloads...] -> c_f
         self.b = self.decoder.shape[1] - params.l
         self.host_nodes = tuple(code.node_index(self.host_rack, m)
@@ -178,18 +184,21 @@ class RepairSession:
 
         vecs = [field._check(c).vec for c in codeword]
         vecs[node - 1] = field.zero.vec
-        symbols = np.array(vecs, dtype=self.weights.dtype)[:, :, None]
-        # sigma_e for every rack; the host rack's sum is nu
-        sigma = (self.weights @ symbols).reshape(params.nbar, params.u, params.l).sum(axis=1) % q
+        symbols = np.array(vecs, dtype=self.weights.dtype).reshape(*self.scalars.shape[:2], params.l)
+        # each group's symbols combined with their weight scalars, then one
+        # product per group; sigma_e for every rack, the host rack's sum is nu
+        combined = reduce_residues((self.scalars * symbols).sum(axis=1), q)
+        sigma = self.weights @ combined[:, :, None]
+        sigma = reduce_residues(sigma.reshape(params.nbar, -1, params.l).sum(axis=1), q)
         parts = [sigma[self.host_rack - 1]]
         messages = []
         for e, basis, payload_map in self.helpers:
-            payload = payload_map @ sigma[e - 1] % q
+            payload = reduce_residues(payload_map @ sigma[e - 1], q)
             parts.append(payload)
             messages.append(RackMessage(
                 rack=e, basis_elems=basis, payload=tuple(payload.astype(np.int64).tolist()),
             ))
-        vec = self.decoder @ np.concatenate(parts) % q
+        vec = reduce_residues(self.decoder @ np.concatenate(parts), q)
         recovered = FieldElement(field, vec.astype(np.int64))
 
         transcript = RepairTranscript(

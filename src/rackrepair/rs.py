@@ -13,23 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf import ExtensionField, FieldElement
-
-
-def residue_dtype(q: int, l: int, u: int, nbar: int):
-    """The dtype of every compiled repair product of a code with nbar racks
-    of u nodes over GF(q^l).
-
-    A plan or run product sums at most l residue products, a rack's sum adds
-    u of those, and the decoder product sums l + b <= nbar l; so every entry
-    stays below max(u, nbar) l (q-1)^2: exact in float32 below 2^24, in int64
-    below 2^63, and in Python integers (object arrays) beyond."""
-    bound = max(u, nbar) * l * (q - 1) ** 2
-    if bound < 2**24:
-        return np.float32
-    if bound < 2**63:
-        return np.int64
-    return object
+from .gf import ExtensionField, FieldElement, reduce_residues, residue_dtype
 
 
 @dataclass(frozen=True)
@@ -59,14 +43,53 @@ class CodeSpec:
         return self.n - self.k
 
     @functools.cached_property
+    def point_powers(self) -> np.ndarray:
+        """The (k, G, g) table S[m] = s^m of the points' B-scalars s (see
+        `_rack_scalars`), in the code's `residue_dtype`: encode's per-node
+        factors f_m s^m.  Built once per code, on first use."""
+        q = self.field.q
+        s = _rack_scalars(self.eval_points, self.u, q)
+        out = np.empty((self.k, *s.shape), dtype=np.int64)
+        out[0] = 1
+        for m in range(1, self.k):
+            out[m] = out[m - 1] * s % q
+        return out.astype(self._dtype)
+
+    @functools.cached_property
+    def point_matrices(self) -> np.ndarray:
+        """The (G, l, l) stack of M(gamma), gamma the first point of each
+        group, in the code's `residue_dtype`."""
+        return self._group_matrices(self.eval_points, self.point_powers.shape[2])
+
+    @functools.cached_property
+    def weight_scalars(self) -> np.ndarray:
+        """The (G, g) B-scalars w of the dual weights, lambda_(i g + j) =
+        w[i, j] lambda_(i g), in the code's `residue_dtype`."""
+        return _rack_scalars(dual_weights(self), self.u, self.field.q).astype(self._dtype)
+
+    @functools.cached_property
     def weight_matrices(self) -> np.ndarray:
-        """The (n, l, l) stack of multiplication matrices M(lambda_i) of the
-        dual weights, in the code's `residue_dtype`: row i maps c_i to
-        lambda_i c_i.  Built once per code, on first use."""
+        """The (G, l, l) stack of M(lambda), lambda the first dual weight of
+        each group, in the code's `residue_dtype`: with `weight_scalars`, node
+        i g + j maps c to lambda_(i g + j) c = M(lambda_(i g)) (w[i, j] c)."""
+        return self._group_matrices(dual_weights(self), self.weight_scalars.shape[1])
+
+    @functools.cached_property
+    def weight_inverses(self) -> tuple[FieldElement, ...]:
+        """lambda_i^-1 = prod_{j != i} (alpha_i - alpha_j), formed once per
+        code; `dual_weights` inverts them."""
+        return _point_products(self.eval_points)
+
+    @property
+    def _dtype(self):
+        return residue_dtype(self.field.q, self.field.l, self.u, self.nbar)
+
+    def _group_matrices(self, elems: Sequence[FieldElement], g: int) -> np.ndarray:
         field = self.field
-        out = np.empty((self.n, field.l, field.l), dtype=residue_dtype(field.q, field.l, self.u, self.nbar))
-        for i, lam in enumerate(dual_weights(self)):
-            out[i] = field.mul_matrix(lam, out.dtype)
+        leaders = elems[::g]
+        out = np.empty((len(leaders), field.l, field.l), dtype=self._dtype)
+        for i, a in enumerate(leaders):
+            out[i] = field.mul_matrix(a, out.dtype)
         return out
 
     def node_index(self, e: int, m: int) -> int:
@@ -82,6 +105,29 @@ class CodeSpec:
         return (node - 1) // self.u + 1, (node - 1) % self.u + 1
 
 
+def _rack_scalars(elems: Sequence[FieldElement], u: int, q: int) -> np.ndarray:
+    """The (G, g) B-scalars that group a rack-major family of elements.
+
+    Every code `build` makes puts rack e's points on one coset,
+    alpha_(e,j) = gamma_e a^j with a in B, and its dual weights are then
+    B-multiples of one element too.  When each rack's elements are
+    B-multiples of the rack's first, each rack is one group (G = nbar,
+    g = u) and row e holds the multiples; otherwise every element is its own
+    group (G = n, g = 1, all ones).  A multiple is read off the lowest
+    nonzero coefficient of the rack's first element and checked against the
+    whole vector, so no field inverse is needed."""
+    vecs = np.stack([e.vec for e in elems]).reshape(-1, u, elems[0].field.l)
+    first = vecs[:, 0]
+    lowest = (first != 0).argmax(axis=1)
+    pivot = first[np.arange(len(first)), lowest]
+    if pivot.all():
+        inv = np.array([pow(int(p), -1, q) for p in pivot], dtype=np.int64)
+        scalars = vecs[np.arange(len(first)), :, lowest] * inv[:, None] % q
+        if np.array_equal(scalars[:, :, None] * first[:, None, :] % q, vecs):
+            return scalars
+    return np.ones((len(elems), 1), dtype=np.int64)
+
+
 def poly_eval(coeffs: Sequence[FieldElement], x: FieldElement) -> FieldElement:
     """Horner evaluation; coeffs are lowest-degree first."""
     acc = x.field.zero
@@ -92,10 +138,36 @@ def poly_eval(coeffs: Sequence[FieldElement], x: FieldElement) -> FieldElement:
 
 def encode(message: Sequence[FieldElement], code: CodeSpec) -> tuple[FieldElement, ...]:
     """Codeword (f(alpha_1), ..., f(alpha_n)) of a message polynomial f of
-    degree <= k - 1 (coefficients lowest-degree first)."""
+    degree <= k - 1 (coefficients lowest-degree first, all in the code's
+    field: anything else raises `ValueError`).
+
+    Node j of a group with first point gamma sits at gamma s_j, s_j in B, so
+    f(gamma s_j) = sum_m (f_m s_j^m) gamma^m, and one Horner step per
+    coefficient serves every node: acc = M(gamma) acc + f_m s^m, reduced
+    mod q, over the (G, l, g) residues of all groups at once.  Every entry
+    stays below (l + 1)(q-1)^2, inside the code's `residue_dtype`."""
     if len(message) > code.k:
         raise ValueError(f"message degree exceeds k - 1 = {code.k - 1}")
-    return tuple(poly_eval(message, a) for a in code.eval_points)
+    field = code.field
+    mats, powers = code.point_matrices, code.point_powers
+    coeffs = np.array([field._check(c).vec for c in message], dtype=mats.dtype)
+    acc = np.zeros((mats.shape[0], field.l, powers.shape[2]), dtype=mats.dtype)
+    for m in range(len(message) - 1, -1, -1):
+        acc = reduce_residues(mats @ acc + coeffs[m][:, None] * powers[m][:, None, :], field.q)
+    vecs = acc.transpose(0, 2, 1).reshape(code.n, field.l).astype(np.int64)
+    return tuple(FieldElement(field, v) for v in vecs)
+
+
+def _point_products(points: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
+    field = points[0].field
+    out = []
+    for i, a in enumerate(points):
+        acc = field.one
+        for j, b in enumerate(points):
+            if i != j:
+                acc = acc * (a - b)
+        out.append(acc)
+    return tuple(out)
 
 
 def weights_for_points(points: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
@@ -103,26 +175,18 @@ def weights_for_points(points: Sequence[FieldElement]) -> tuple[FieldElement, ..
     point family (empty product for a single point)."""
     if len(set(points)) != len(points):
         raise ValueError("evaluation points must be pairwise distinct")
-    field = points[0].field
-    lambdas = []
-    for i, a in enumerate(points):
-        acc = field.one
-        for j, b in enumerate(points):
-            if i != j:
-                acc = acc * (a - b)
-        lambdas.append(acc.inverse())
-    return tuple(lambdas)
+    return tuple(p.inverse() for p in _point_products(points))
 
 
 @functools.lru_cache(maxsize=None)
 def dual_weights(code: CodeSpec) -> tuple[FieldElement, ...]:
     """The column multipliers that turn low-degree evaluations into dual
-    codewords of the code.
+    codewords of the code: the inverses of `CodeSpec.weight_inverses`.
 
     A deterministic spot-check (highest-degree monomial pair) verifies the
     duality before returning.
     """
-    out = weights_for_points(code.eval_points)
+    out = tuple(p.inverse() for p in code.weight_inverses)
     if code.k >= 1 and code.r >= 1:
         f = [code.field.zero] * (code.k - 1) + [code.field.one]  # x^(k-1)
         g = [code.field.zero] * (code.r - 1) + [code.field.one]  # x^(n-k-1)

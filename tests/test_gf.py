@@ -13,6 +13,7 @@ from rackrepair.gf import (
     find_irreducible,
     find_primitive_element,
     rank_over_base,
+    reduce_residues,
 )
 
 
@@ -198,6 +199,17 @@ def test_mul_matrix_matches_product():
             assert np.array_equal(field.mul_matrix(a, object), M)
     field = GF(4099, 2)
     assert np.array_equal(field.mul_matrix(field.scalar(5)), 5 * np.eye(2, dtype=np.int64))
+
+
+def test_reduce_residues_exact():
+    # float32 goes through int32: exact for every integer below 2^24, negative
+    # ones included, and the dtype is kept
+    a = np.array([0, 1, -1, -(2**24 - 1), 2**24 - 1, 2**24 - 3, 12345678], dtype=np.int64)
+    for q in (2, 3, 13, 4099):
+        for dtype in (np.float32, np.int64, object):
+            got = reduce_residues(a.astype(dtype), q)
+            assert got.dtype == np.dtype(dtype)
+            assert np.array_equal(got.astype(np.int64), a % q)
 
 
 def test_division_by_zero():

@@ -1,8 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from encode_oracle import reference_encode
 
+from rackrepair import rs
+from rackrepair.constructions import build, c1_params, c2_params, cor7_params, homogeneous_params
 from rackrepair.gf import GF
 from rackrepair.rs import (
     CodeSpec,
@@ -88,6 +92,7 @@ def test_dual_weights_nonzero_and_product_formula():
             if j != i:
                 acc = acc * (code.eval_points[i] - b)
         assert w * acc == code.field.one
+        assert code.weight_inverses[i] == acc
 
 
 def test_duality_randomized_oracle():
@@ -170,3 +175,75 @@ def test_poly_eval_horner():
     # f(t) = 1 + 2t + t^2 at t = x: 1 + 2x + x^2 = 1 + 2x + 2 = 2x
     val = poly_eval([field.one, field.scalar(2), field.one], x)
     assert val == 2 * x
+
+
+ENCODE_CODES = {
+    "C1": lambda: build(c1_params(3, 2, 3, 2)).code,
+    "C2": lambda: build(c2_params(3, 2, 6, (2, 2))).code,
+    "C2-remainder": lambda: build(c2_params(3, 2, 5, (2, 2))).code,
+    "Cor7": lambda: build(cor7_params(3, 2, 6, 5)).code,
+    "homogeneous": lambda: build(homogeneous_params(3, 3, 2)).code,
+    "C1-q5": lambda: build(c1_params(5, 4, 3, 2, v=2)).code,
+    "C2-q13": lambda: build(c2_params(13, 3, 6, (2, 2))).code,
+    "C1-l128": lambda: build(c1_params(3, 2, 7, 2)).code,
+    "small_code": small_code,  # points zeta^i: one node per group
+}
+
+
+@pytest.mark.parametrize("name", list(ENCODE_CODES))
+def test_encode_matches_reference(name):
+    # every message length from 0 (the zero word) to k, and the erasure
+    # decoder reads the message back from k symbols
+    code = ENCODE_CODES[name]()
+    rng = random.Random(53)
+    for length in range(code.k + 1):
+        message = [code.field.random_element(rng) for _ in range(length)]
+        word = encode(message, code)
+        assert word == reference_encode(message, code)
+        subset = sorted(rng.sample(range(1, code.n + 1), code.k))
+        decoded = erasure_decode([(p, word[p - 1]) for p in subset], code)
+        assert list(decoded) == message + [code.field.zero] * (code.k - length)
+    assert encode([], code) == (code.field.zero,) * code.n
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_encode_wide_dtypes(monkeypatch, dtype):
+    monkeypatch.setattr(rs, "residue_dtype", lambda *_: dtype)
+    for code in (build(c2_params(3, 2, 6, (2, 2))).code, small_code()):
+        assert code.point_matrices.dtype == code.point_powers.dtype == dtype
+        rng = random.Random(59)
+        for length in (1, code.k):
+            message = [code.field.random_element(rng) for _ in range(length)]
+            assert encode(message, code) == reference_encode(message, code)
+
+
+def test_build_codes_store_one_matrix_per_rack():
+    # rack e's points are gamma_e s_j and its weights lambda_e w_j, s_j and
+    # w_j in B, so one matrix per rack and B-scalars stand for every node
+    for params in (c2_params(3, 2, 6, (2, 2)), c2_params(13, 3, 6, (2, 2))):
+        code = build(params).code
+        field, q, l = code.field, code.field.q, code.field.l
+        lam = dual_weights(code)
+        assert code.point_matrices.shape == code.weight_matrices.shape == (code.nbar, l, l)
+        assert code.point_powers.shape == (code.k, code.nbar, code.u)
+        assert code.weight_scalars.shape == (code.nbar, code.u)
+        for node in range(1, code.n + 1):
+            e, j = code.rack_of(node)
+            s = int(code.point_powers[1, e - 1, j - 1])
+            w = int(code.weight_scalars[e - 1, j - 1])
+            assert code.eval_points[node - 1] == s * code.eval_points[(e - 1) * code.u]
+            assert np.array_equal(field.mul_matrix(lam[node - 1]),
+                                  w * code.weight_matrices[e - 1].astype(np.int64) % q)
+    code = small_code()  # zeta^i and zeta^(i+1) differ by zeta, not by a scalar of B
+    assert code.point_matrices.shape == code.weight_matrices.shape == (code.n, 4, 4)
+    assert (code.point_powers == 1).all() and (code.weight_scalars == 1).all()
+
+
+def test_encode_rejects_foreign_symbols():
+    code = build(c2_params(3, 2, 6, (2, 2))).code
+    rng = random.Random(61)
+    message = [code.field.random_element(rng) for _ in range(code.k)]
+    for bad in (GF(13, code.field.l).random_element(rng), 1):
+        message[1] = bad
+        with pytest.raises(ValueError, match="does not belong"):
+            encode(message, code)
