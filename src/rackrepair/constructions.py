@@ -20,6 +20,7 @@ is verified, never assumed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from math import prod
 
@@ -159,6 +160,18 @@ class CodeInstance:
     plan: EvaluationPlan
     radix: RadixSystem
 
+    @functools.cached_property
+    def beta_powers(self) -> tuple[FieldElement, ...]:
+        """beta^a, beta = zeta^u, for every exponent a = t + s * exponent(e)
+        a repair family can take (t < l, s < rbar_eff): one table per code,
+        shared by every node's rows."""
+        params = self.params
+        beta = self.field.zeta ** params.u
+        powers = [self.field.one]
+        for _ in range(params.l - 1 + (params.rbar_eff - 1) * max(self.plan.rack_exponents)):
+            powers.append(powers[-1] * beta)
+        return tuple(powers)
+
 
 def digit_system(params: SchemeParams) -> RadixSystem:
     """The mixed-radix system housing the construction's exponents: uniform
@@ -252,13 +265,9 @@ def repair_family(instance: CodeInstance, node: int) -> RepairScheme:
     if params.kprime is not None and max_deg > params.n - params.kprime - 1:
         raise AssertionError("repair polynomial degree exceeds n - k' - 1")
     descriptors = tuple((t, s) for t in t_set for s in range(params.rbar_eff))
-    exps = instance.plan.rack_exponents
-    amax = max(t + s * x for (t, s) in descriptors for x in exps)
-    beta = instance.field.zeta ** params.u
-    powers = [instance.field.one]
-    for _ in range(amax):
-        powers.append(powers[-1] * beta)
-    rows = tuple(tuple(powers[t + s * x] for (t, s) in descriptors) for x in exps)
+    powers = instance.beta_powers
+    rows = tuple(tuple(powers[t + s * x] for (t, s) in descriptors)
+                 for x in instance.plan.rack_exponents)
     return RepairScheme(
         node=node, rack=e, index_set=t_set, rbar_eff=params.rbar_eff,
         u=params.u, descriptors=descriptors, rows=rows,

@@ -1,5 +1,7 @@
 """Reed-Solomon codewords, the dual-code weight vector, dual codewords from
 low-degree polynomials, and erasure decoding as an independent MDS oracle.
+Encode and the dual weights are stored as residue matrices over B, one per
+rack (see `_rack_scalars`).
 
 Codeword symbols are stored rack-major: node (e, m) sits at flat position
 (e-1)*u + m, positions 1-based.

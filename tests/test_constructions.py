@@ -209,10 +209,13 @@ def test_ablated_family_drops_rank():
 ], ids=["C1", "C2", "C2-remainder", "Cor7", "homogeneous", "C1-q5-v2"])
 def test_evaluations_position_independent(params):
     # the power-table rows equal direct evaluation at every point, so
-    # g(alpha_(e,j)) does not depend on j; one failed node per rack
+    # g(alpha_(e,j)) does not depend on j; one failed node per rack.  Every
+    # node's rows are entries of the code's one power table, not copies.
     inst = build(params)
+    table = {id(p) for p in inst.beta_powers}
     for host in range(1, params.nbar + 1):
         scheme = repair_family(inst, inst.code.node_index(host, 1))
+        assert all(id(v) in table for row in scheme.rows for v in row)
         ev = FamilyEvaluator(inst, scheme)
         for e in range(1, params.nbar + 1):
             for j in range(1, params.u + 1):
