@@ -8,7 +8,8 @@ from rackrepair import RadixSystem, index_set
 # the rbar-ary system behind the basic construction: rbar=2, nbar=3 -> l=8
 binary = RadixSystem.uniform(2, 3)
 for t in range(8):
-    print(f"t={t} digits={binary.encode(t)}")
+    print(f"t={t} digits={binary.encode(t)}")  # position 1 first
+print("decode((1, 0, 1)) =", binary.decode((1, 0, 1)))
 
 # rack i keeps the polynomials whose i-th digit vanishes: a window of width 1
 print("T_2 =", index_set(binary, 2, 1))  # {t : t_2 = 0}

@@ -17,7 +17,8 @@ from rackrepair import (
 params = c1_params(q=3, u=2, nbar=3, rbar=2)
 inst = build(params)
 print(f"n={params.n} k={params.k} l={params.l} racks={params.nbar}x{params.u}")
-print("rack exponents:", inst.plan.rack_exponents, "alpha:", inst.plan.alpha)
+# node j of rack e sits at zeta^(weight e) * alpha^j
+print("rack exponents:", inst.radix.weights, "alpha:", inst.alpha)
 
 # pick a node, check the rank condition, then erase and repair it
 node = 3

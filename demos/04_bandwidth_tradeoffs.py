@@ -23,8 +23,8 @@ rows = run_sweep(ExperimentConfig(mode="C2", q=3, u=2, nbar=6, primes=(2, 2),
 print("\nmulti-base instance, one line per node:")
 print("node  rack  b    b_min  upper  case  ratio")
 for r in rows:
-    print(f"{r.node:>4}  {r.rack:>4}  {r.b:>3}  {r.b_min!s:>5}  {r.upper!s:>5}"
-          f"  {r.case:>4}  {float(r.ratio):.4f}")
+    print(f"{r.node:>4}  {r.rack:>4}  {r.b:>3}  {r.bounds.b_min!s:>5}  {r.bounds.upper!s:>5}"
+          f"  {r.bounds.case:>4}  {float(r.ratio):.4f}")
 
 # the basic construction's ratio trend: b/b_min sinks toward 1 as nbar grows
 print("\nbasic construction trend at rbar = 2:")

@@ -8,7 +8,6 @@ bandwidth bound exactly.
 
 from .constructions import (
     CodeInstance,
-    EvaluationPlan,
     RepairScheme,
     SchemeParams,
     build,
@@ -31,7 +30,7 @@ from .gf import (
     find_primitive_element,
     rank_over_base,
 )
-from .radix import DigitVector, RadixSystem, index_set
+from .radix import RadixSystem, index_set
 from .repair import (
     AuditResult,
     BandwidthReport,

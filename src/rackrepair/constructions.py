@@ -1,4 +1,4 @@
-"""Evaluation-point plans and repair-polynomial families.
+"""Evaluation points and repair-polynomial families.
 
 Four flavors share one engine:
 
@@ -142,22 +142,16 @@ def cor7_params(q: int, u: int, nbar: int, rbar: int, v: int = 0) -> SchemeParam
 # instance construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvaluationPlan:
-    """alpha of order u in B, one zeta exponent per rack, and the full
-    point table alpha_(e,j) = zeta^exponent(e) * alpha^j."""
-
-    alpha: int
-    rack_exponents: tuple[int, ...]
-    points: tuple[tuple[FieldElement, ...], ...]
-
-
 @dataclass(frozen=True, eq=False)
 class CodeInstance:
+    """A built code: node j of rack e sits at zeta^exponent(e) * alpha^j,
+    alpha of order u in B, where exponent(e) is `radix.weights[e - 1]`; the
+    points themselves are `code.eval_points`, rack-major."""
+
     params: SchemeParams
     field: ExtensionField
     code: CodeSpec
-    plan: EvaluationPlan
+    alpha: int
     radix: RadixSystem
 
     @functools.cached_property
@@ -168,7 +162,7 @@ class CodeInstance:
         params = self.params
         beta = self.field.zeta ** params.u
         powers = [self.field.one]
-        for _ in range(params.l - 1 + (params.rbar_eff - 1) * max(self.plan.rack_exponents)):
+        for _ in range(params.l - 1 + (params.rbar_eff - 1) * max(self.radix.weights)):
             powers.append(powers[-1] * beta)
         return tuple(powers)
 
@@ -184,7 +178,7 @@ def digit_system(params: SchemeParams) -> RadixSystem:
 
 
 def build(params: SchemeParams) -> CodeInstance:
-    """Construct the field, evaluation plan, and code for validated params.
+    """Construct the field, evaluation points, and code for validated params.
 
     Asserts, once per code, the identity every repair row rests on: each
     point of rack e has point^u = beta^exponent(e) with beta = zeta^u, so
@@ -202,24 +196,20 @@ def build(params: SchemeParams) -> CodeInstance:
         pow(alpha, params.u // p, params.q) == 1 for p in set(factorize(params.u))
     ):
         raise AssertionError("alpha does not have order u")
-    exponents = radix.weights
     points = []
-    for e in range(1, params.nbar + 1):
-        zd = field.zeta ** exponents[e - 1]
-        points.append(tuple(zd * pow(alpha, j, params.q) for j in range(1, params.u + 1)))
+    for x in radix.weights:
+        zd = field.zeta ** x
+        points += [zd * pow(alpha, j, params.q) for j in range(1, params.u + 1)]
     beta = field.zeta ** params.u
-    if any(p ** params.u != beta ** x for rack, x in zip(points, exponents) for p in rack):
+    if any(p ** params.u != beta ** radix.weights[i // params.u] for i, p in enumerate(points)):
         raise AssertionError("point^u differs from beta^exponent(e); point table broken")
-    flat = tuple(p for rack in points for p in rack)
-    if len(set(flat)) != len(flat):
+    if len(set(points)) != len(points):
         raise AssertionError("evaluation points collide; construction invariant broken")
     code = CodeSpec(
-        field=field, n=params.n, k=params.k, eval_points=flat,
+        field=field, n=params.n, k=params.k, eval_points=tuple(points),
         nbar=params.nbar, u=params.u,
     )
-    return CodeInstance(params=params, field=field, code=code,
-                        plan=EvaluationPlan(alpha, tuple(exponents), tuple(points)),
-                        radix=radix)
+    return CodeInstance(params=params, field=field, code=code, alpha=alpha, radix=radix)
 
 
 def rack_wy(params: SchemeParams, rack: int) -> tuple[int, int]:
@@ -241,8 +231,6 @@ class RepairScheme:
     node: int
     rack: int
     index_set: tuple[int, ...]
-    rbar_eff: int
-    u: int
     descriptors: tuple[tuple[int, int], ...]
     rows: tuple[tuple[FieldElement, ...], ...]
     rank_verified: bool = False
@@ -267,11 +255,8 @@ def repair_family(instance: CodeInstance, node: int) -> RepairScheme:
     descriptors = tuple((t, s) for t in t_set for s in range(params.rbar_eff))
     powers = instance.beta_powers
     rows = tuple(tuple(powers[t + s * x] for (t, s) in descriptors)
-                 for x in instance.plan.rack_exponents)
-    return RepairScheme(
-        node=node, rack=e, index_set=t_set, rbar_eff=params.rbar_eff,
-        u=params.u, descriptors=descriptors, rows=rows,
-    )
+                 for x in instance.radix.weights)
+    return RepairScheme(node=node, rack=e, index_set=t_set, descriptors=descriptors, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -294,7 +279,7 @@ def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
     params = instance.params
     scheme = repair_family(instance, node)
     host = scheme.rack
-    sums = sorted(t + s * instance.plan.rack_exponents[host - 1] for (t, s) in scheme.descriptors)
+    sums = sorted(t + s * instance.radix.weights[host - 1] for (t, s) in scheme.descriptors)
     if params.h == 0:
         w, y = rack_wy(params, host)
         scale = instance.radix.weights[y - 1] if w == params.nprime - 1 else 1

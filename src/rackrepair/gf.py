@@ -19,6 +19,7 @@ are plain Python integers, so they stay exact far beyond machine word size.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -528,23 +529,21 @@ def find_irreducible(q: int, l: int) -> tuple[int, ...]:
         raise ValueError("degree must be >= 1")
     if l == 1:
         return (0, 1)  # x itself; every monic linear polynomial is irreducible
-    counter = 0
-    while True:
-        coeffs = np.zeros(l + 1, dtype=np.int64)
-        m = counter
-        counter += 1
-        for i in range(l):
-            coeffs[i] = m % q
-            m //= q
-        if m:
-            raise AssertionError("irreducible search exhausted the degree")
-        coeffs[l] = 1
+    for digits in _counting_order(q, l):
+        coeffs = np.array(digits + (1,), dtype=np.int64)
         if coeffs[0] == 0:  # divisible by x
             continue
         if _has_root(coeffs, q):
             continue
         if _is_irreducible(coeffs, q, l):
             return tuple(int(c) for c in coeffs)
+    raise AssertionError("irreducible search exhausted the degree")
+
+
+def _counting_order(q: int, l: int):
+    """Every length-l vector of residues mod q in counting order: the vector
+    of 0, 1, 2, ... in base q, entry 0 fastest."""
+    return (digits[::-1] for digits in itertools.product(range(q), repeat=l))
 
 
 def _has_root(coeffs: np.ndarray, q: int) -> bool:
@@ -604,19 +603,12 @@ def find_primitive_element(field: ExtensionField) -> FieldElement:
     For l > 1 the scan starts at the first non-constant candidate (counter
     q): a constant lies in B*, whose order q - 1 is below q^l - 1."""
     checks = [field.order // p for p in sorted(set(field.order_factorization))]
-    counter = field.q if field.l > 1 else 1
-    while True:
-        vec = np.zeros(field.l, dtype=np.int64)
-        m = counter
-        counter += 1
-        for i in range(field.l):
-            vec[i] = m % field.q
-            m //= field.q
-        if m:
-            raise AssertionError("no primitive element found (impossible)")
-        cand = FieldElement(field, vec)
+    start = field.q if field.l > 1 else 1
+    for digits in itertools.islice(_counting_order(field.q, field.l), start, None):
+        cand = FieldElement(field, digits)
         if all((cand**e) != field.one for e in checks):
             return cand
+    raise AssertionError("no primitive element found (impossible)")
 
 
 # ---------------------------------------------------------------------------

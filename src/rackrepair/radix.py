@@ -9,20 +9,9 @@ flat position of block coordinates (w, y) is w*m + y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from .numbertheory import is_prime
-
-
-@dataclass(frozen=True)
-class DigitVector:
-    """Digits of one value, position 1 first."""
-
-    digits: tuple[int, ...]
-
-    def __str__(self):
-        return ",".join(map(str, self.digits))
 
 
 class RadixSystem:
@@ -59,23 +48,24 @@ class RadixSystem:
         nprime, h = divmod(nbar, m)
         return cls(primes * nprime + primes[:h])
 
-    def encode(self, a: int) -> DigitVector:
-        """Unique digit vector of a, extracted greedily position by position."""
+    def encode(self, a: int) -> tuple[int, ...]:
+        """Unique digits of a, position 1 first, extracted greedily position
+        by position."""
         if not 0 <= a < self.capacity:
             raise ValueError(f"value {a} outside [0, {self.capacity - 1}]")
         digits = []
         for r in self.radices:
             digits.append(a % r)
             a //= r
-        return DigitVector(tuple(digits))
+        return tuple(digits)
 
-    def decode(self, d: DigitVector) -> int:
-        if len(d.digits) != len(self.radices):
+    def decode(self, digits: tuple[int, ...]) -> int:
+        if len(digits) != len(self.radices):
             raise ValueError("digit count does not match the radix list")
-        for t, r in zip(d.digits, self.radices):
+        for t, r in zip(digits, self.radices):
             if not 0 <= t < r:
                 raise ValueError(f"digit {t} out of bounds for radix {r}")
-        return sum(t * w for t, w in zip(d.digits, self.weights))
+        return sum(t * w for t, w in zip(digits, self.weights))
 
 
 def index_set(radix: RadixSystem, start: int, width: int) -> tuple[int, ...]:

@@ -62,6 +62,16 @@ class BoundSet:
     case: str
     enforced: bool
 
+    def violations(self, b: int) -> tuple[str, ...]:
+        """One finding per bound that bandwidth b breaks: the cut-set bound
+        always, the upper bound only where it is enforced."""
+        out = []
+        if b < self.b_min:
+            out.append(f"cut-set bound violated: b = {b} < {self.b_min}")
+        if self.enforced and self.upper is not None and b >= self.upper:
+            out.append(f"upper bound violated: b = {b} >= {self.upper} (case {self.case})")
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class BandwidthReport:
@@ -70,7 +80,6 @@ class BandwidthReport:
     b: int
     bounds: BoundSet
     ratio: Fraction
-    repair_ok: bool
 
 
 def bounds(params: SchemeParams, node: int) -> BoundSet:
@@ -170,7 +179,6 @@ class RepairSession:
             b=self.b,
             bounds=bset,
             ratio=Fraction(self.b) / bset.b_min,
-            repair_ok=True,
         )
 
     def run(self, codeword) -> tuple[RepairTranscript, BandwidthReport]:
@@ -253,15 +261,7 @@ def audit(transcript: RepairTranscript, report: BandwidthReport) -> AuditResult:
         findings.append(
             f"total mismatch: payloads {payload_total}, rank sum {rank_total}, b {report.b}"
         )
-    if report.b < report.bounds.b_min:
-        findings.append(f"cut-set bound violated: b = {report.b} < {report.bounds.b_min}")
-    if report.bounds.enforced and report.bounds.upper is not None and report.b >= report.bounds.upper:
-        findings.append(
-            f"upper bound violated: b = {report.b} >= {report.bounds.upper} "
-            f"(case {report.bounds.case})"
-        )
+    findings += report.bounds.violations(report.b)
     if transcript.recovered != transcript.expected:
         findings.append("recovered symbol does not equal the erased symbol")
-    if not report.repair_ok:
-        findings.append("report does not claim successful repair")
     return AuditResult(ok=not findings, findings=tuple(findings))

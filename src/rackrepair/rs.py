@@ -80,7 +80,14 @@ class CodeSpec:
     def weight_inverses(self) -> tuple[FieldElement, ...]:
         """lambda_i^-1 = prod_{j != i} (alpha_i - alpha_j), formed once per
         code; `dual_weights` inverts them."""
-        return _point_products(self.eval_points)
+        out = []
+        for i, a in enumerate(self.eval_points):
+            acc = self.field.one
+            for j, b in enumerate(self.eval_points):
+                if i != j:
+                    acc = acc * (a - b)
+            out.append(acc)
+        return tuple(out)
 
     @property
     def _dtype(self):
@@ -158,26 +165,6 @@ def encode(message: Sequence[FieldElement], code: CodeSpec) -> tuple[FieldElemen
         acc = reduce_residues(mats @ acc + coeffs[m][:, None] * powers[m][:, None, :], field.q)
     vecs = acc.transpose(0, 2, 1).reshape(code.n, field.l).astype(np.int64)
     return tuple(FieldElement(field, v) for v in vecs)
-
-
-def _point_products(points: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    field = points[0].field
-    out = []
-    for i, a in enumerate(points):
-        acc = field.one
-        for j, b in enumerate(points):
-            if i != j:
-                acc = acc * (a - b)
-        out.append(acc)
-    return tuple(out)
-
-
-def weights_for_points(points: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    """lambda_i = prod_{j != i} (alpha_i - alpha_j)^-1 over any distinct
-    point family (empty product for a single point)."""
-    if len(set(points)) != len(points):
-        raise ValueError("evaluation points must be pairwise distinct")
-    return tuple(p.inverse() for p in _point_products(points))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -40,7 +41,7 @@ def test_run_sweep_c1():
     rows = run_sweep(c1_config())
     assert len(rows) == 6
     assert all(r.repair_ok == "true" and r.rank_ok for r in rows)
-    assert all(r.b_min <= r.b < r.upper for r in rows)
+    assert all(r.bounds.b_min <= r.b < r.bounds.upper for r in rows)
     # rows ordered by (rack, node)
     assert [r.node for r in rows] == list(range(1, 7))
     assert [r.rack for r in rows] == [1, 1, 2, 2, 3, 3]
@@ -50,7 +51,7 @@ def test_run_sweep_trials_zero():
     rows = run_sweep(c1_config(trials=0))
     assert all(r.repair_ok == "skipped" for r in rows)
     assert all(r.rank_ok for r in rows)
-    assert all(r.b >= r.b_min for r in rows)  # rank-based b still reported
+    assert all(r.b >= r.bounds.b_min for r in rows)  # rank-based b still reported
 
 
 def test_sweep_deterministic():
@@ -115,6 +116,16 @@ def test_summarize_counts():
     assert s["min_ratio"] == "1.375000"
 
 
+def test_summarize_counts_rows_with_broken_bounds():
+    # every C1 row has b_min = 8 and upper = 16; a row counts once whatever
+    # it breaks, and an unenforced upper bound counts for nothing
+    rows = run_sweep(c1_config(trials=1))
+    edited = [replace(row, b=b) for row, b in zip(rows, (7, 8, 15, 16, 16, 7))]
+    edited[4] = replace(edited[4], bounds=replace(edited[4].bounds, enforced=False))
+    assert summarize(edited)["bound_violations"] == 3
+    assert sum(1 for r in edited if r.bounds.violations(r.b)) == 3
+
+
 def test_ratio_rendering_six_places():
     rows = run_sweep(c1_config(trials=1))
     text = emit_report(rows, "csv")
@@ -167,6 +178,9 @@ INVALID = [
       "--trials", "0"], "--mode"),
     (["build", "--mode", "homogeneous", "--u", "1", "--q", "2147483659", "--nbar", "3",
       "--rbar", "2"], "q = "),
+    # a flag the mode would ignore is rejected, not dropped
+    (["build", "--mode", "C2", "--primes", "2,2", "--nbar", "6", "--rbar", "5"], "--rbar"),
+    (["sweep", "--mode", "C1", "--rbar", "2", "--nbar", "3", "--primes", "2,2"], "--primes"),
 ]
 
 

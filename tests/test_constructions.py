@@ -63,28 +63,27 @@ def test_params_validation_errors():
 
 def test_build_c1_small():
     inst = build(c1_params(3, 2, 3, 2))
-    assert inst.plan.alpha == 2  # 2^((3-1)/2) with the smallest primitive root
-    assert inst.plan.rack_exponents == (1, 2, 4)
+    assert inst.alpha == 2  # 2^((3-1)/2) with the smallest primitive root
+    assert inst.radix.weights == (1, 2, 4)
     flat = inst.code.eval_points
     assert len(set(flat)) == 6
     # every point is zeta^exp * alpha^j
     zeta = inst.field.zeta
     for e in range(1, 4):
         for j in range(1, 3):
-            expect = zeta ** inst.plan.rack_exponents[e - 1] * pow(2, j, 3)
-            assert inst.plan.points[e - 1][j - 1] == expect
+            expect = zeta ** inst.radix.weights[e - 1] * pow(2, j, 3)
             assert flat[inst.code.node_index(e, j) - 1] == expect
 
 
 def test_build_c2_divisible():
     inst = build(c2_params(3, 2, 6, (2, 2)))
-    assert inst.plan.rack_exponents == (1, 2, 4, 8, 16, 32)
+    assert inst.radix.weights == (1, 2, 4, 8, 16, 32)
     assert len(set(inst.code.eval_points)) == 12
 
 
 def test_build_c2_remainder():
     inst = build(c2_params(3, 2, 5, (2, 2)))
-    assert inst.plan.rack_exponents == (1, 2, 4, 8, 16)
+    assert inst.radix.weights == (1, 2, 4, 8, 16)
     assert inst.params.l == 32
     assert len(set(inst.code.eval_points)) == 10
 
@@ -93,13 +92,13 @@ def test_build_cor7():
     inst = build(cor7_params(3, 2, 6, 5))
     assert inst.params.l == 64
     assert inst.code.k == 2  # the code keeps its true dimension
-    assert inst.plan.rack_exponents == (1, 2, 4, 8, 16, 32)
+    assert inst.radix.weights == (1, 2, 4, 8, 16, 32)
 
 
 def test_build_homogeneous():
     inst = build(homogeneous_params(3, 3, 2))
     assert inst.params.u == 1 and inst.params.n == 3
-    assert inst.plan.alpha == 1  # order u = 1
+    assert inst.alpha == 1  # order u = 1
     assert len(set(inst.code.eval_points)) == 3
 
 
@@ -131,7 +130,7 @@ def test_repair_family_example():
     scheme = repair_family(inst, node)
     assert scheme.index_set == (0, 1, 4, 5)
     assert len(scheme.descriptors) == 8
-    degrees = {scheme.u * s for (_, s) in scheme.descriptors}
+    degrees = {inst.params.u * s for (_, s) in scheme.descriptors}
     assert degrees == {0, 2}
     # identical scheme for every node in the same rack
     other = repair_family(inst, inst.code.node_index(2, 2))
@@ -150,7 +149,7 @@ def test_family_size_is_l():
         for node in (1, params.n):
             scheme = repair_family(inst, node)
             assert len(scheme.descriptors) == params.l
-            assert len(scheme.index_set) * scheme.rbar_eff == params.l
+            assert len(scheme.index_set) * params.rbar_eff == params.l
 
 
 def test_degree_bound():

@@ -90,6 +90,31 @@ def test_bounds_cor7_with_remainder_unenforced():
         assert not bounds(params, node).enforced
 
 
+@pytest.mark.parametrize("enforced", [True, False])
+def test_bound_violations_at_edges(enforced):
+    # b_min = 80 and upper = 384 (case i of the C2 instance): b below b_min
+    # always breaks the cut-set bound, b at upper breaks only an enforced
+    # upper bound, and b_min <= b < upper breaks nothing
+    bs = replace(bounds(c2_params(3, 2, 6, (2, 2)), 1), enforced=enforced)
+    assert (bs.b_min, bs.upper, bs.case) == (80, 384, "i")
+    assert bs.violations(79) == ("cut-set bound violated: b = 79 < 80",)
+    assert bs.violations(80) == ()
+    assert bs.violations(383) == ()
+    upper = ("upper bound violated: b = 384 >= 384 (case i)",)
+    assert bs.violations(384) == (upper if enforced else ())
+    # no upper bound at all: only the cut-set bound can break
+    open_bs = replace(bs, upper=None)
+    assert open_bs.violations(79) == ("cut-set bound violated: b = 79 < 80",)
+    assert open_bs.violations(10**6) == ()
+
+
+def test_bound_violations_fractional_b_min():
+    bs = bounds(cor7_params(3, 2, 7, 5), 1)  # b_min = 6 * 128 / 5
+    assert bs.b_min == Fraction(768, 5)
+    assert bs.violations(153) == ("cut-set bound violated: b = 153 < 768/5",)
+    assert bs.violations(154) == ()
+
+
 # ---------------------------------------------------------------------------
 # per-rack bandwidth
 # ---------------------------------------------------------------------------

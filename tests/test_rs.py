@@ -15,7 +15,6 @@ from rackrepair.rs import (
     encode,
     erasure_decode,
     poly_eval,
-    weights_for_points,
 )
 
 
@@ -72,14 +71,10 @@ def test_encode_degree_overflow():
 def test_dual_weights_hand_example():
     # A = {1, 2} over GF(3): lambda_1 = (1-2)^-1 = 2, lambda_2 = (2-1)^-1 = 1
     field = GF(3, 1)
-    lam = weights_for_points((field.scalar(1), field.scalar(2)))
+    code = CodeSpec(field=field, n=2, k=1, eval_points=(field.scalar(1), field.scalar(2)),
+                    nbar=2, u=1)
+    lam = dual_weights(code)
     assert [w.coeffs for w in lam] == [(2,), (1,)]
-
-
-def test_dual_weights_single_point():
-    field = GF(3, 2)
-    lam = weights_for_points((field.zeta,))
-    assert lam == (field.one,)  # empty product
 
 
 def test_dual_weights_nonzero_and_product_formula():
