@@ -32,7 +32,7 @@ for nbar in (3, 4, 5):
     rows = run_sweep(ExperimentConfig(mode="C1", q=3, u=2, nbar=nbar, rbar=2,
                                       trials=1, seed=2))
     worst = max(r.ratio for r in rows)
-    print(f"  nbar={nbar}  l={rows[0].l:>3}  max b/b_min = {worst} = {float(worst):.4f}")
+    print(f"  nbar={nbar}  l={rows[0].params.l:>3}  max b/b_min = {worst} = {float(worst):.4f}")
 
 # at fixed rbar the upper bound (nbar+1)/(nbar-1) * b_min forces the limit
 print("\nbound ratio (nbar+1)/(nbar-1):",

@@ -42,6 +42,6 @@ from .repair import (
     audit,
     bounds,
 )
-from .rs import CodeSpec, dual_codeword, dual_weights, encode, erasure_decode, poly_eval
+from .rs import CodeSpec, dual_weights, encode, erasure_decode, poly_eval
 
 __all__ = [name for name in dir() if not name.startswith("_")]

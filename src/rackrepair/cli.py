@@ -54,13 +54,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ReportRow:
-    mode: str
-    q: int
-    u: int
-    nbar: int
-    rbar: int
-    rbar_eff: int
-    l: int
+    params: SchemeParams
     rack: int
     node: int
     b: int
@@ -136,9 +130,7 @@ def rows_for_instance(
             repair_ok = "false"
             b = sum(rank_over_base(r).rank for e, r in enumerate(scheme.rows, 1) if e != scheme.rack)
         rows.append(ReportRow(
-            mode=params.mode, q=params.q, u=params.u, nbar=params.nbar,
-            rbar=params.rbar, rbar_eff=params.rbar_eff, l=params.l,
-            rack=scheme.rack, node=node, b=b, bounds=bset,
+            params=params, rack=scheme.rack, node=node, b=b, bounds=bset,
             ratio=Fraction(b) / bset.b_min, repair_ok=repair_ok, rank_ok=check.ok,
         ))
     return rows
@@ -169,9 +161,10 @@ def _ratio_str(x: Fraction) -> str:
 
 
 def _row_values(row: ReportRow) -> list[str]:
+    p = row.params
     return [
-        row.mode, str(row.q), str(row.u), str(row.nbar), str(row.rbar),
-        str(row.rbar_eff), str(row.l), str(row.rack), str(row.node), str(row.b),
+        p.mode, str(p.q), str(p.u), str(p.nbar), str(p.rbar),
+        str(p.rbar_eff), str(p.l), str(row.rack), str(row.node), str(row.b),
         _frac_str(row.bounds.b_min), _frac_str(row.bounds.upper), row.bounds.case,
         _ratio_str(row.ratio), row.repair_ok, "true" if row.rank_ok else "false",
     ]
@@ -230,14 +223,14 @@ def emit_report(
 
 def _interpretation_notes(rows: list[ReportRow]) -> list[str]:
     notes = []
-    if any(row.mode in ("C2", "Cor7") and row.bounds.case == "i" and (row.rack - 1) == 0 for row in rows):
+    if any(row.params.mode in ("C2", "Cor7") and row.bounds.case == "i" and row.rack == 1 for row in rows):
         notes.append("case (i) bound applied down to w=0 (reading of the case split)")
-    if any(row.mode == "C2-remainder" for row in rows):
+    if any(row.params.mode == "C2-remainder" for row in rows):
         notes.append(
             "remainder layout: index sets wrap over the transformed digit "
             "positions; upper bounds reported informationally only"
         )
-    if any(row.mode == "Cor7" for row in rows):
+    if any(row.params.mode == "Cor7" for row in rows):
         notes.append("prime rbar: repair runs the rbar-1 system; b_min uses the true rbar")
     return notes
 
@@ -299,7 +292,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--v", type=int, default=0)
     parser.add_argument("--trials", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", dest="fmt", default="csv", choices=["csv", "json"])
+    parser.add_argument("--format", dest="fmt", default=None, choices=["csv", "json"])
     parser.add_argument("--out", type=str, default=None)
 
 
@@ -312,12 +305,14 @@ def _config_from_args(args) -> ExperimentConfig:
         ) from None
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    if args.fmt is not None and args.command in ("build", "repair"):
+        raise ValueError(f"--format applies to sweep and nbar-sweep only, not {args.command}")
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ValueError(f"--out directory does not exist: {args.out!r}")
     return ExperimentConfig(
         mode=args.mode, q=args.q, u=args.u, nbar=args.nbar, rbar=args.rbar,
         primes=primes, v=args.v, trials=args.trials, seed=args.seed,
-        fmt=args.fmt, out=args.out,
+        fmt=args.fmt or "csv", out=args.out,
     )
 
 

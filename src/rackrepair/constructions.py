@@ -166,6 +166,11 @@ class CodeInstance:
             powers.append(powers[-1] * beta)
         return tuple(powers)
 
+    @functools.cached_property
+    def plan_memo(self) -> dict:
+        """The last repair plan `repair.RepairSession` compiled, keyed by group and descriptors."""
+        return {}
+
 
 def digit_system(params: SchemeParams) -> RadixSystem:
     """The mixed-radix system housing the construction's exponents: uniform

@@ -112,8 +112,8 @@ def bounds(params: SchemeParams, node: int) -> BoundSet:
 
 
 class RepairSession:
-    """Per-node repair, compiled once into residue matrices over B and run
-    on any number of codewords.
+    """Per-node repair: its weight group's plan and its B-scalar, compiled
+    into residue matrices over B and run on any number of codewords.
 
     Let g_i(e) be row i of rack e's rows, z_i = g_i(host), mu_i the dual
     basis of the z_i, sigma_e the sum of lam_j c_j over rack e and nu that
@@ -130,7 +130,11 @@ class RepairSession:
     M(lambda_(e,1)) (sum_j w_j c_j), one B-combination and one batched
     product for all racks (one group per node when a code's weights do not
     factor so; see `CodeSpec.weight_matrices`); then one product per helper
-    rack and one decoder product.
+    rack and one decoder product.  The rows depend only on the rack and the
+    decoder is linear in H, so a group shares one plan, compiled for its
+    first node: node j's decoder is w_j^-1 times that node's, mod q, which
+    a run applies to the decoded vector.  `CodeInstance.plan_memo` keeps
+    the group compiled last.
 
     Every product and running sum stays below max(u, nbar) l (q-1)^2, so it
     is exact in the dtype `residue_dtype` picks for that bound (float32 below
@@ -152,23 +156,30 @@ class RepairSession:
         dtype = self.weights.dtype
         self.scalars = code.weight_scalars[:, :, None]
 
-        rows = scheme.rows
-        tf = field._trace_form.astype(dtype)
-        host_map = reduce_residues(-field.mul_matrix(code.weight_inverses[node - 1], dtype), q)
-        mu = np.stack([m.vec for m in field.dual_basis(rows[self.host_rack - 1]).mu_basis])
-        expand = reduce_residues(host_map @ mu.T.astype(dtype), q)
-        self.helpers = []  # (rack, basis, payload map P_e)
-        blocks = [host_map]
-        for e in range(1, params.nbar + 1):
-            if e == self.host_rack:
-                continue
-            values = rows[e - 1]
-            profile = rank_over_base(values)
-            basis = tuple(values[p] for p in profile.pivots)
-            basis_mat = np.stack([b.vec for b in basis]).astype(dtype)
-            self.helpers.append((e, basis, reduce_residues(basis_mat @ tf, q)))
-            blocks.append(reduce_residues(expand @ profile.coords.astype(dtype), q))
-        self.decoder = np.concatenate(blocks, axis=1)  # l x (l + b): [nu, payloads...] -> c_f
+        group, j = divmod(node - 1, self.scalars.shape[1])
+        memo, key = instance.plan_memo, (group, scheme.descriptors)
+        if key not in memo:  # compile the group's plan for its first node, node - j
+            memo.clear()  # before compiling, so the old plan is freed first
+            rows = scheme.rows
+            tf = field._trace_form.astype(dtype)
+            lam_inv = code.weight_inverses[node - j - 1]
+            host_map = reduce_residues(-field.mul_matrix(lam_inv, dtype), q)
+            mu = np.stack([m.vec for m in field.dual_basis(rows[self.host_rack - 1]).mu_basis])
+            expand = reduce_residues(host_map @ mu.T.astype(dtype), q)
+            helpers = []  # (rack, basis, payload map P_e)
+            blocks = [host_map]  # the decoder, l x (l + b): [nu, payloads...] -> c_f
+            for e in range(1, params.nbar + 1):
+                if e == self.host_rack:
+                    continue
+                values = rows[e - 1]
+                profile = rank_over_base(values)
+                basis = tuple(values[p] for p in profile.pivots)
+                basis_mat = np.stack([b.vec for b in basis]).astype(dtype)
+                helpers.append((e, basis, reduce_residues(basis_mat @ tf, q)))
+                blocks.append(reduce_residues(expand @ profile.coords.astype(dtype), q))
+            memo[key] = tuple(helpers), np.concatenate(blocks, axis=1)
+        self.helpers, self.decoder = memo[key]
+        self.w_inv = pow(int(self.scalars[group, j, 0]), -1, q)  # the node's B-scalar
         self.b = self.decoder.shape[1] - params.l
         self.host_nodes = tuple(code.node_index(self.host_rack, m)
                                 for m in range(1, params.u + 1) if m != failed_j)
@@ -207,7 +218,7 @@ class RepairSession:
                 rack=e, basis_elems=basis, payload=tuple(payload.astype(np.int64).tolist()),
             ))
         vec = reduce_residues(self.decoder @ np.concatenate(parts), q)
-        recovered = FieldElement(field, vec.astype(np.int64))
+        recovered = FieldElement(field, vec.astype(np.int64) * self.w_inv % q)
 
         transcript = RepairTranscript(
             node=node, host_rack=self.host_rack, messages=tuple(messages),

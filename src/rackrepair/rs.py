@@ -1,5 +1,5 @@
-"""Reed-Solomon codewords, the dual-code weight vector, dual codewords from
-low-degree polynomials, and erasure decoding as an independent MDS oracle.
+"""Reed-Solomon codewords, the dual-code weight vector, and erasure
+decoding as an independent MDS oracle.
 Encode and the dual weights are stored as residue matrices over B, one per
 rack (see `_rack_scalars`).
 
@@ -185,17 +185,6 @@ def dual_weights(code: CodeSpec) -> tuple[FieldElement, ...]:
         if not ip.is_zero():
             raise AssertionError("dual weight spot-check failed")
     return out
-
-
-def dual_codeword(g: Sequence[FieldElement], code: CodeSpec) -> tuple[FieldElement, ...]:
-    """(lambda_1 g(alpha_1), ..., lambda_n g(alpha_n)) for deg g <= n - k - 1."""
-    if len(g) > code.r:
-        raise ValueError(
-            f"polynomial degree exceeds n - k - 1 = {code.r - 1}; "
-            "inconsistent with the code rate"
-        )
-    lam = dual_weights(code)
-    return tuple(w * poly_eval(g, a) for w, a in zip(lam, code.eval_points))
 
 
 def erasure_decode(

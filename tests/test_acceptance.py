@@ -11,6 +11,8 @@ import random
 import time
 from fractions import Fraction
 
+from dual_oracle import dual_codeword
+
 from rackrepair.cli import ExperimentConfig, run_sweep
 from rackrepair.constructions import (
     build,
@@ -24,7 +26,7 @@ from rackrepair.constructions import (
 from rackrepair.gf import GF, rank_over_base
 from rackrepair.radix import RadixSystem
 from rackrepair.repair import RepairSession, audit, bounds
-from rackrepair.rs import dual_codeword, encode, erasure_decode, poly_eval
+from rackrepair.rs import encode, erasure_decode, poly_eval
 
 GF.cache_clear()  # criterion timings include field construction
 

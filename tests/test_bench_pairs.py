@@ -43,3 +43,25 @@ def test_summarize_wins_and_claim_rule():
     # seven wins of ten are not enough, however large the gap
     change[0] = change[1] = 0.5
     assert not _claim(_runs(base), _runs(change), better)
+
+
+def test_within_bound():
+    # within_bound: the change's median is worse than the base's by at most
+    # bound times the base's median, in the metric's own direction
+    better = {"repair_p50_ms": "lower", "ok_frac": "higher", "peak_rss_mb": "lower"}
+    bounds = {"repair_p50_ms": 0.25, "ok_frac": 0.01, "peak_rss_mb": 0.05}
+
+    def runs(p50, ok, rss):
+        return [{"correct": True, "failed": 0,
+                 "metrics": {"repair_p50_ms": p50, "ok_frac": ok, "peak_rss_mb": rss}}] * 3
+
+    out = summarize({"base": runs(0.40, 1.0, 40.0), "change": runs(0.49, 0.985, 42.1)},
+                    better, bounds)
+    assert out["repair_p50_ms"]["within_bound"]  # 22.5% slower, bound 25%
+    assert not out["ok_frac"]["within_bound"]  # 1.5% lower, bound 1%
+    assert not out["peak_rss_mb"]["within_bound"]  # 5.25% more, bound 5%
+    gains = summarize({"base": runs(0.40, 0.9, 40.0), "change": runs(0.10, 1.0, 30.0)},
+                      better, bounds)
+    assert all(m["within_bound"] for m in gains.values())
+    assert "within_bound" not in summarize({"base": runs(0.4, 1.0, 40.0),
+                                            "change": runs(0.4, 1.0, 40.0)}, better)["ok_frac"]

@@ -181,6 +181,10 @@ INVALID = [
     # a flag the mode would ignore is rejected, not dropped
     (["build", "--mode", "C2", "--primes", "2,2", "--nbar", "6", "--rbar", "5"], "--rbar"),
     (["sweep", "--mode", "C1", "--rbar", "2", "--nbar", "3", "--primes", "2,2"], "--primes"),
+    # --format belongs to sweep and nbar-sweep
+    (["build", "--rbar", "2", "--format", "json"], "--format"),
+    (["repair", "--mode", "C2", "--nbar", "6", "--primes", "2,2", "--node", "5", "--format", "csv"],
+     "--format"),
 ]
 
 

@@ -16,7 +16,7 @@ from rackrepair.constructions import (
     repair_family,
     verify_rank_condition,
 )
-from rackrepair.gf import GF, rank_over_base
+from rackrepair.gf import GF, ExtensionField, rank_over_base
 from rackrepair.repair import RepairError, RepairSession, audit, bounds
 from rackrepair import rs
 from rackrepair.rs import encode
@@ -201,6 +201,67 @@ def test_run_matches_reference_repair(params):
         assert check.ok
         session = RepairSession(inst, check.scheme)
         for _ in range(3):
+            word = random_codeword(inst, rng)
+            transcript, _ = session.run(word)
+            messages, recovered = reference_repair(inst, check.scheme, word)
+            assert tuple((m.rack, m.payload) for m in transcript.messages) == messages
+            assert transcript.recovered == recovered == word[node - 1]
+
+
+@pytest.mark.parametrize("params", [c2_params(3, 2, 6, (2, 2)), c2_params(13, 3, 6, (2, 2))],
+                         ids=["c2", "q13"])
+def test_one_plan_per_rack(params, monkeypatch):
+    # planning every node in order compiles each rack once: one dual basis
+    # per rack, and the rack's nodes share its payload maps and decoder;
+    # each node's own decoder, compiled alone when every node is its own
+    # group, is w_j^-1 times the decoder of its rack's first node, mod q
+    inst = build(params)
+    calls = []
+    dual_basis = ExtensionField.dual_basis
+
+    def counted(field, basis):
+        calls.append(len(basis))
+        return dual_basis(field, basis)
+
+    monkeypatch.setattr(ExtensionField, "dual_basis", counted)
+    sessions = [RepairSession(inst, verify_rank_condition(inst, node).scheme)
+                for node in range(1, params.n + 1)]
+    assert len(calls) == params.nbar == 6
+    assert len(inst.plan_memo) == 1  # only the group compiled last is kept
+    q, u = params.q, params.u
+    w = inst.code.weight_scalars.astype(np.int64)
+    assert w.shape == (params.nbar, u) and (w != 1).any()
+
+    monkeypatch.setattr(rs, "_rack_scalars",
+                        lambda elems, u, q: np.ones((len(elems), 1), dtype=np.int64))
+    alone = build(params)
+    for node, session in enumerate(sessions, 1):
+        first = sessions[(node - 1) // u * u]
+        assert session.decoder is first.decoder
+        assert len(session.helpers) == len(first.helpers) == params.nbar - 1
+        for (e, basis, pmap), (e1, basis1, pmap1) in zip(session.helpers, first.helpers):
+            assert e == e1 and basis is basis1 and pmap is pmap1
+        w_inv = pow(int(w[(node - 1) // u, (node - 1) % u]), -1, q)
+        assert session.w_inv == w_inv
+        own = RepairSession(alone, verify_rank_condition(alone, node).scheme).decoder
+        assert np.array_equal(own.astype(np.int64), first.decoder.astype(np.int64) * w_inv % q)
+
+
+def test_one_node_groups_match_reference(monkeypatch):
+    # weights that do not factor by rack leave every node its own group (the
+    # all-ones fallback of `_rack_scalars`): each node compiles its own plan,
+    # and every node of c2 still equals the reference repair
+    monkeypatch.setattr(rs, "_rack_scalars",
+                        lambda elems, u, q: np.ones((len(elems), 1), dtype=np.int64))
+    params = c2_params(3, 2, 6, (2, 2))
+    inst = build(params)
+    assert inst.code.weight_scalars.shape == (params.n, 1)
+    rng = random.Random(53)
+    for node in range(1, params.n + 1):
+        check = verify_rank_condition(inst, node)
+        session = RepairSession(inst, check.scheme)
+        assert list(inst.plan_memo) == [(node - 1, check.scheme.descriptors)]
+        for _ in range(2):
             word = random_codeword(inst, rng)
             transcript, _ = session.run(word)
             messages, recovered = reference_repair(inst, check.scheme, word)

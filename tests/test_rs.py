@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from dual_oracle import dual_codeword
 from encode_oracle import reference_encode
 
 from rackrepair import rs
@@ -10,7 +11,6 @@ from rackrepair.constructions import build, c1_params, c2_params, cor7_params, h
 from rackrepair.gf import GF
 from rackrepair.rs import (
     CodeSpec,
-    dual_codeword,
     dual_weights,
     encode,
     erasure_decode,

@@ -11,9 +11,11 @@ end-to-end metrics, each side's median and quartiles per metric, how many
 pairs the change won per metric (ties count for neither side), and whether
 the claim rule holds: the change fails no more operations than the base and
 every change run is correct, it wins at least nine tenths of the pairs, and
-the medians differ by more than the base's interquartile range.  Directions
-("better") also come from the base's BENCHMARK.json.  `--workload` may be
-given more than once.
+the medians differ by more than the base's interquartile range.  It also
+records whether each metric is within its bound: the change's median is
+worse than the base's by no more than `bound` times the base's median.
+Directions ("better") and bounds also come from the base's BENCHMARK.json.
+`--workload` may be given more than once.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ def git_sha(checkout: Path) -> str:
     return got.stdout.strip() if got.returncode == 0 else "unknown"
 
 
-def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+def summarize(runs: dict[str, list[dict]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     out = {}
     pairs = len(runs["base"])
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
@@ -65,6 +68,8 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
             "claim_rule_holds": sound and wins >= 0.9 * pairs
             and gap > stats["base"]["q3"] - stats["base"]["q1"],
         }
+        if bounds and name in bounds:
+            out[name]["within_bound"] = -gap <= bounds[name] * abs(stats["base"]["median"])
     return out
 
 
@@ -80,6 +85,7 @@ def main(argv=None) -> int:
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["base"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     seconds = spec["run_seconds"]
 
     doc = {"pairs": len(seeds), "seconds": seconds, "seeds": seeds,
@@ -93,7 +99,7 @@ def main(argv=None) -> int:
                 runs[side].append(run | {"pair": i, "first": side == order[0]})
                 print(f"{workload} pair {i} {side}: " + " ".join(
                     f"{k}={v:.4g}" for k, v in run["metrics"].items()), file=sys.stderr, flush=True)
-        doc["workloads"][workload] = {"runs": runs, "summary": summarize(runs, better)}
+        doc["workloads"][workload] = {"runs": runs, "summary": summarize(runs, better, bounds)}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
