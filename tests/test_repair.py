@@ -208,6 +208,11 @@ def test_run_matches_reference_repair(params):
             assert transcript.recovered == recovered == word[node - 1]
 
 
+def _one_node_groups(elems, u, q):
+    """The all-ones fallback of `rs._rack_scalars`: every node its own group."""
+    return np.ones((len(elems), 1), dtype=np.int64)
+
+
 @pytest.mark.parametrize("params", [c2_params(3, 2, 6, (2, 2)), c2_params(13, 3, 6, (2, 2))],
                          ids=["c2", "q13"])
 def test_one_plan_per_rack(params, monkeypatch):
@@ -232,8 +237,7 @@ def test_one_plan_per_rack(params, monkeypatch):
     w = inst.code.weight_scalars.astype(np.int64)
     assert w.shape == (params.nbar, u) and (w != 1).any()
 
-    monkeypatch.setattr(rs, "_rack_scalars",
-                        lambda elems, u, q: np.ones((len(elems), 1), dtype=np.int64))
+    monkeypatch.setattr(rs, "_rack_scalars", _one_node_groups)
     alone = build(params)
     for node, session in enumerate(sessions, 1):
         first = sessions[(node - 1) // u * u]
@@ -251,8 +255,7 @@ def test_one_node_groups_match_reference(monkeypatch):
     # weights that do not factor by rack leave every node its own group (the
     # all-ones fallback of `_rack_scalars`): each node compiles its own plan,
     # and every node of c2 still equals the reference repair
-    monkeypatch.setattr(rs, "_rack_scalars",
-                        lambda elems, u, q: np.ones((len(elems), 1), dtype=np.int64))
+    monkeypatch.setattr(rs, "_rack_scalars", _one_node_groups)
     params = c2_params(3, 2, 6, (2, 2))
     inst = build(params)
     assert inst.code.weight_scalars.shape == (params.n, 1)
