@@ -171,6 +171,11 @@ class CodeInstance:
         """The last repair plan `repair.RepairSession` compiled, keyed by group and descriptors."""
         return {}
 
+    @functools.cached_property
+    def rank_memo(self) -> dict:
+        """The last rack `verify_rank_condition` checked: its rack-wide scheme and host-row rank."""
+        return {}
+
 
 def digit_system(params: SchemeParams) -> RadixSystem:
     """The mixed-radix system housing the construction's exponents: uniform
@@ -280,17 +285,23 @@ def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
     basic modes, where the evaluated set is {(zeta^u)^a : a in [0, l-1]}).
     The rank is taken on the host row of `repair_family`; no point is
     evaluated here (`build` asserts the point identity, the tests evaluate).
+    The family, and so both checks, depend on the node only through its
+    rack, so `CodeInstance.rank_memo` keeps the rack checked last and its
+    other nodes reuse its rows and rank.
     """
     params = instance.params
-    scheme = repair_family(instance, node)
-    host = scheme.rack
-    sums = sorted(t + s * instance.radix.weights[host - 1] for (t, s) in scheme.descriptors)
-    if params.h == 0:
-        w, y = rack_wy(params, host)
-        scale = instance.radix.weights[y - 1] if w == params.nprime - 1 else 1
-        if sums != [scale * a for a in range(params.l)]:
-            raise AssertionError("coset decomposition of the host exponents failed")
-
-    rank = rank_over_base(scheme.rows[host - 1]).rank
+    host, _ = instance.code.rack_of(node)
+    memo = instance.rank_memo
+    if host not in memo:
+        memo.clear()
+        scheme = repair_family(instance, node)
+        sums = sorted(t + s * instance.radix.weights[host - 1] for (t, s) in scheme.descriptors)
+        if params.h == 0:
+            w, y = rack_wy(params, host)
+            scale = instance.radix.weights[y - 1] if w == params.nprime - 1 else 1
+            if sums != [scale * a for a in range(params.l)]:
+                raise AssertionError("coset decomposition of the host exponents failed")
+        memo[host] = scheme, rank_over_base(scheme.rows[host - 1]).rank
+    scheme, rank = memo[host]
     ok = rank == params.l
-    return RankCheck(ok=ok, rank=rank, scheme=replace(scheme, rank_verified=ok))
+    return RankCheck(ok=ok, rank=rank, scheme=replace(scheme, node=node, rank_verified=ok))

@@ -54,13 +54,32 @@ def _poly_divmod(a: np.ndarray, b: np.ndarray, q: int) -> tuple[np.ndarray, np.n
     return quo, _trim(r)
 
 
-def _poly_gcd(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    a, b = _trim(a % q), _trim(b % q)
-    while b.size:
-        a, b = b, _poly_divmod(a, b, q)[1]
-    if a.size:  # monic normalization
-        a = a * pow(int(a[-1]), -1, q) % q
-    return a
+def _coprime(a: np.ndarray, b: np.ndarray, q: int) -> bool:
+    """gcd(a, b) = 1 over GF(q), by Euclid in place on copies of a and b.
+
+    Degrees are tracked, not trimmed: each step cancels the leading term of
+    the higher polynomial with a multiple of the lower one, and the degree
+    drops past the zeros it leaves.  Zero has degree -1, so gcd(0, b) is b,
+    a unit only when b is a nonzero constant."""
+    a, b = a % q, b % q
+    tmp = np.empty(max(a.size, b.size), dtype=np.int64)
+
+    def degree(p, d):
+        while d >= 0 and p[d] == 0:
+            d -= 1
+        return d
+
+    da, db = degree(a, a.size - 1), degree(b, b.size - 1)
+    while db >= 0:
+        inv_lead = pow(int(b[db]), -1, q)
+        while da >= db:
+            lo = da - db
+            np.multiply(b[: db + 1], int(a[da]) * inv_lead % q, out=tmp[: db + 1])
+            np.subtract(a[lo : da + 1], tmp[: db + 1], out=a[lo : da + 1])
+            np.remainder(a[lo : da + 1], q, out=a[lo : da + 1])
+            da = degree(a, da - 1)
+        a, b, da, db = b, a, db, da
+    return da == 0
 
 
 def _poly_inv_mod(a: np.ndarray, modulus: np.ndarray, q: int) -> np.ndarray:
@@ -114,14 +133,17 @@ class _QuotientRing:
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        out = np.zeros(self.l, dtype=np.int64)
-        out[0] = 1
+        out = None  # no factor yet: the first set bit takes base as it is
         base = a % self.q
         while e:
             if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = base if out is None else self.mul(out, base)
             e >>= 1
+            if e:  # no square after the last bit
+                base = self.mul(base, base)
+        if out is None:
+            out = np.zeros(self.l, dtype=np.int64)
+            out[0] = 1
         return out
 
 
@@ -518,10 +540,15 @@ def find_irreducible(q: int, l: int) -> tuple[int, ...]:
     """First monic irreducible polynomial of degree l over GF(q), in counting
     order of the non-leading coefficient vector (constant term fastest).
 
-    The winner is certified by Rabin's criterion: x^(q^l) = x mod f together
-    with gcd(x^(q^(l/p)) - x, f) = 1 for every prime p dividing l.  The
-    search itself discards candidates as soon as a distinct-degree gcd finds
-    a low-degree factor.
+    Candidates divisible by x or with a root in GF(q) are skipped; the rest
+    go through `_is_irreducible`, a distinct-degree sieve that tests f
+    coprime to the product of x^(q^d) - x mod f over a block of
+    `_SIEVE_BLOCK` degrees d at a time, up to d = l/2 (the batching of von
+    zur Gathen & Shoup, 1992).  A candidate fails as soon as one block finds
+    a factor, and the one that passes every block is irreducible, since a
+    reducible f has a factor of degree <= l/2; it is certified by Rabin's
+    criterion, x^(q^l) = x mod f with gcd(x^(q^(l/p)) - x, f) = 1 for every
+    prime p | l, whose gcds the sieve's blocks include.
     """
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
@@ -556,20 +583,35 @@ def _has_root(coeffs: np.ndarray, q: int) -> bool:
     return False
 
 
+_SIEVE_BLOCK = 8  # Frobenius terms multiplied per coprimality check in `_is_irreducible`
+
+
 def _is_irreducible(coeffs: np.ndarray, q: int, l: int) -> bool:
-    # Distinct-degree sieve: gcd(x^(q^d) - x, f) != 1 exactly when f has an
-    # irreducible factor of degree dividing d, and any reducible f of degree
-    # l has a factor of degree <= l/2.  The d = l/p Rabin checkpoints are a
-    # subset of the sieve; the final Frobenius fixed-point check completes it.
+    """Whether the monic f = `coeffs` of degree l >= 2 is irreducible over
+    GF(q), by a distinct-degree sieve with one coprimality check per block.
+
+    With h_d = x^(q^d) mod f, the terms h_d - x for the d of one block of
+    `_SIEVE_BLOCK` degrees (the last block ends at l/2) are multiplied mod f,
+    and f is tested coprime to the product.  This is exact: an irreducible
+    g | f divides h_d - x exactly when deg g | d, and, being prime, divides
+    the product exactly when it divides one of its terms; so a block fails
+    exactly when f has an irreducible factor whose degree divides some d in
+    it, and every reducible f has a factor of degree <= l/2.  A product that
+    is 0 mod f is not coprime to f.  The last l - l/2 Frobenius steps check
+    x^(q^l) = x, which completes Rabin's criterion (its d = l/p checks are
+    among the sieve's)."""
     ring = _QuotientRing(q, coeffs)
     x = np.zeros(l, dtype=np.int64)
     x[1] = 1
-    h = x.copy()
-    for _ in range(l // 2):
+    h = x
+    half = l // 2
+    for d in range(1, half + 1):
         h = ring.pow(h, q)
-        if _poly_gcd((h - x) % q, coeffs, q).size != 1:
+        term = (h - x) % q
+        prod = term if (d - 1) % _SIEVE_BLOCK == 0 else ring.mul(prod, term)
+        if (d % _SIEVE_BLOCK == 0 or d == half) and not _coprime(prod, coeffs, q):
             return False
-    for _ in range(l - l // 2):
+    for _ in range(l - half):
         h = ring.pow(h, q)
     return bool(np.array_equal(h, x))
 

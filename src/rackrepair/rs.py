@@ -10,6 +10,8 @@ Codeword symbols are stored rack-major: node (e, m) sits at flat position
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -170,12 +172,21 @@ def encode(message: Sequence[FieldElement], code: CodeSpec) -> tuple[FieldElemen
 @functools.lru_cache(maxsize=None)
 def dual_weights(code: CodeSpec) -> tuple[FieldElement, ...]:
     """The column multipliers that turn low-degree evaluations into dual
-    codewords of the code: the inverses of `CodeSpec.weight_inverses`.
+    codewords of the code: the inverses of `CodeSpec.weight_inverses`, all
+    from one field inverse by Montgomery's trick (invert the product of all
+    n, then peel one factor off at a time, last first).
 
     A deterministic spot-check (highest-degree monomial pair) verifies the
     duality before returning.
     """
-    out = tuple(p.inverse() for p in code.weight_inverses)
+    vals = code.weight_inverses
+    prefix = list(itertools.accumulate(vals, operator.mul))  # vals[0] ... vals[i]
+    inv = prefix[-1].inverse()  # (vals[0] ... vals[i])^-1, for i from n - 1 down
+    out = [None] * len(vals)
+    for i in range(len(vals) - 1, 0, -1):
+        out[i], inv = inv * prefix[i - 1], inv * vals[i]
+    out[0] = inv
+    out = tuple(out)
     if code.k >= 1 and code.r >= 1:
         f = [code.field.zero] * (code.k - 1) + [code.field.one]  # x^(k-1)
         g = [code.field.zero] * (code.r - 1) + [code.field.one]  # x^(n-k-1)
