@@ -2,7 +2,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from bench_pairs import summarize  # noqa: E402
+from bench_pairs import attempted_medians, summarize  # noqa: E402
 
 
 def _runs(values):
@@ -65,3 +65,11 @@ def test_within_bound():
     assert all(m["within_bound"] for m in gains.values())
     assert "within_bound" not in summarize({"base": runs(0.4, 1.0, 40.0),
                                             "change": runs(0.4, 1.0, 40.0)}, better)["ok_frac"]
+
+
+def test_attempted_medians():
+    # each side's median operations per run, to read a metric such as
+    # peak_rss_mb that grows with the work a run completes
+    runs = {"base": [{"attempted": a} for a in (29000, 31000, 30000, 28000)],
+            "change": [{"attempted": a} for a in (55000, 54000, 56000)]}
+    assert attempted_medians(runs) == {"base": 29500, "change": 55000}

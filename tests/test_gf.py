@@ -3,7 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from field_oracle import irreducibles, poly_gcd, poly_mul
 
+from rackrepair import gf
 from rackrepair.gf import (
     GF,
     FieldElement,
@@ -111,6 +113,78 @@ def test_find_irreducible_matches_exhaustive_factor_check():
     for cc in reversed(coeffs):
         acc = acc * x + field.scalar(cc)
     assert acc.is_zero()
+
+
+# the fields the block sieve is checked on: l = 16 to 128, at q = 2 to 13
+ORACLE_FIELDS = [(2, 64), (2, 128), (3, 32), (3, 64), (3, 81), (3, 128), (5, 32), (5, 64),
+                 (7, 27), (7, 64), (13, 16), (13, 64)]
+
+
+@pytest.mark.parametrize("q,l", ORACLE_FIELDS, ids=[f"{q}^{l}" for q, l in ORACLE_FIELDS])
+def test_find_irreducible_matches_per_degree_oracle(q, l):
+    # the blocked sieve picks the same modulus as one gcd per degree
+    assert find_irreducible(q, l) == next(irreducibles(q, l))
+
+
+@pytest.mark.parametrize("d", [5, 8, 9, 16, 20])
+def test_block_sieve_rejects_products(d):
+    # f = g h with g, h irreducible of degrees d and l - d has no root, and
+    # only the block holding d can see it: inside the first block (5), at a
+    # block end (8, 16), just past one (9), and at the last block's end,
+    # l/2 = 20, where g and h are the first two irreducibles of degree 20
+    q, l = 3, 40
+    found = irreducibles(q, d)
+    g = next(found)
+    h = next(found) if d == l - d else next(irreducibles(q, l - d))
+    f = poly_mul(np.array(g), np.array(h), q)
+    assert f.size == l + 1 and f[-1] == 1
+    assert not gf._is_irreducible(f, q, l)
+    assert gf._is_irreducible(np.array(next(irreducibles(q, l))), q, l)
+
+
+def test_coprime_matches_oracle_gcd():
+    # seeded pairs over q = 2, 3, 5, 13: random ones, pairs given a common
+    # factor, zeros, constants and trailing zero coefficients
+    rng = random.Random(1301)
+
+    def poly(deg, q):
+        return np.array([rng.randrange(q) for _ in range(deg + 1)], dtype=np.int64)
+
+    cases = []
+    for q in (2, 3, 5, 13):
+        for _ in range(40):
+            a, b = poly(rng.randrange(0, 30), q), poly(rng.randrange(0, 30), q)
+            if rng.random() < 0.5:
+                common = poly(rng.randrange(1, 5), q)
+                a, b = poly_mul(a, common, q), poly_mul(b, common, q)
+            cases.append((a, b, q))
+        f = poly(12, q)
+        zero = np.zeros(6, dtype=np.int64)
+        cases += [(zero, f, q), (f, zero, q), (zero, zero, q), (zero[:0], f, q),
+                  (np.array([2 % q or 1, 0, 0]), f, q), (np.concatenate([f, zero]), f, q)]
+    seen = set()
+    for a, b, q in cases:
+        expected = poly_gcd(a, b, q).size == 1
+        a0, b0 = a.copy(), b.copy()
+        assert gf._coprime(a, b, q) == expected
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)  # inputs untouched
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_ring_pow_products(monkeypatch):
+    # x -> x^3 is two products: no product by one, no square after the last bit
+    field = GF(3, 8)
+    ring, a = field._ring, field.zeta.vec
+    calls = []
+    mul = gf._QuotientRing.mul
+    monkeypatch.setattr(gf._QuotientRing, "mul", lambda self, u, v: calls.append(1) or mul(self, u, v))
+    assert np.array_equal(ring.pow(a, 3), mul(ring, mul(ring, a, a), a))
+    assert len(calls) == 2
+    acc = field.one.vec
+    for e in range(20):
+        assert np.array_equal(ring.pow(a, e), acc)
+        acc = mul(ring, acc, a)
 
 
 def test_factor_field_order_examples():

@@ -18,7 +18,7 @@ from rackrepair.constructions import (
 )
 from rackrepair.gf import GF, ExtensionField, rank_over_base
 from rackrepair.repair import RepairError, RepairSession, audit, bounds
-from rackrepair import rs
+from rackrepair import gf, rs
 from rackrepair.rs import encode
 
 
@@ -249,6 +249,46 @@ def test_one_plan_per_rack(params, monkeypatch):
         assert session.w_inv == w_inv
         own = RepairSession(alone, verify_rank_condition(alone, node).scheme).decoder
         assert np.array_equal(own.astype(np.int64), first.decoder.astype(np.int64) * w_inv % q)
+
+
+@pytest.mark.parametrize("params,rrefs", [
+    (c2_params(3, 2, 6, (2, 2)), 42),
+    (c1_params(3, 2, 7, 2), 56),
+    (c2_params(13, 3, 6, (2, 2)), 42),
+], ids=["c2", "l128", "q13"])
+def test_all_node_setup_rref_calls(params, rrefs, monkeypatch):
+    # an all-node set-up in node order row-reduces once per rack for its
+    # rank check and its dual basis, and once per helper rack of its plan:
+    # nbar (nbar + 1) calls, the u nodes of a rack sharing the first two
+    inst = build(params)
+    rs.dual_weights(inst.code)
+    calls = []
+    rref = gf._rref
+
+    def counted(mat, q):
+        calls.append(mat.shape)
+        return rref(mat, q)
+
+    monkeypatch.setattr(gf, "_rref", counted)
+    for node in range(1, params.n + 1):
+        RepairSession(inst, verify_rank_condition(inst, node).scheme)
+    assert len(calls) == rrefs == params.nbar * (params.nbar + 1)
+
+
+@pytest.mark.parametrize("params", [c2_params(3, 2, 6, (2, 2)), cor7_params(3, 2, 6, 5),
+                                    c2_params(3, 2, 5, (2, 2))], ids=["c2", "Cor7", "C2-remainder"])
+def test_rank_check_reuses_the_last_rack(params):
+    # in any node order, each check equals a fresh family of its own node
+    # with its rank verified; the memo holds only the rack checked last
+    inst = build(params)
+    order = list(range(1, params.n + 1)) * 2
+    random.Random(71).shuffle(order)
+    for node in order:
+        check = verify_rank_condition(inst, node)
+        fresh = repair_family(inst, node)
+        assert check.ok and check.rank == params.l
+        assert check.scheme == replace(fresh, rank_verified=True)
+        assert list(inst.rank_memo) == [fresh.rack]
 
 
 def test_one_node_groups_match_reference(monkeypatch):

@@ -8,7 +8,7 @@ from encode_oracle import reference_encode
 
 from rackrepair import rs
 from rackrepair.constructions import build, c1_params, c2_params, cor7_params, homogeneous_params
-from rackrepair.gf import GF
+from rackrepair.gf import GF, FieldElement
 from rackrepair.rs import (
     CodeSpec,
     dual_weights,
@@ -232,6 +232,19 @@ def test_build_codes_store_one_matrix_per_rack():
     code = small_code()  # zeta^i and zeta^(i+1) differ by zeta, not by a scalar of B
     assert code.point_matrices.shape == code.weight_matrices.shape == (code.n, 4, 4)
     assert (code.point_powers == 1).all() and (code.weight_scalars == 1).all()
+
+
+@pytest.mark.parametrize("name", ["C2", "C2-q13", "small_code"])
+def test_dual_weights_take_one_inverse(name, monkeypatch):
+    # Montgomery's trick: the n weights equal their own inverses, from one
+    # field inverse for the whole code (the spot-check passes inside)
+    code = ENCODE_CODES[name]()
+    calls = []
+    inverse = FieldElement.inverse
+    monkeypatch.setattr(FieldElement, "inverse", lambda a: calls.append(1) or inverse(a))
+    lam = dual_weights.__wrapped__(code)  # past the cache, so the count is this call's
+    assert len(calls) == 1
+    assert lam == tuple(inverse(p) for p in code.weight_inverses)
 
 
 def test_encode_rejects_foreign_symbols():

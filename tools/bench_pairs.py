@@ -15,6 +15,9 @@ the medians differ by more than the base's interquartile range.  It also
 records whether each metric is within its bound: the change's median is
 worse than the base's by no more than `bound` times the base's median.
 Directions ("better") and bounds also come from the base's BENCHMARK.json.
+Each workload also records each side's median number of operations
+attempted per run, so a metric that grows with the work a run completes,
+such as `peak_rss_mb`, can be read against it.
 `--workload` may be given more than once.
 """
 
@@ -42,6 +45,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 def git_sha(checkout: Path) -> str:
     got = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
     return got.stdout.strip() if got.returncode == 0 else "unknown"
+
+
+def attempted_medians(runs: dict[str, list[dict]]) -> dict[str, float]:
+    """Each side's median number of operations attempted per run."""
+    return {side: statistics.median(r["attempted"] for r in rs) for side, rs in runs.items()}
 
 
 def summarize(runs: dict[str, list[dict]], better: dict[str, str],
@@ -99,7 +107,8 @@ def main(argv=None) -> int:
                 runs[side].append(run | {"pair": i, "first": side == order[0]})
                 print(f"{workload} pair {i} {side}: " + " ".join(
                     f"{k}={v:.4g}" for k, v in run["metrics"].items()), file=sys.stderr, flush=True)
-        doc["workloads"][workload] = {"runs": runs, "summary": summarize(runs, better, bounds)}
+        doc["workloads"][workload] = {"runs": runs, "attempted_median": attempted_medians(runs),
+                                      "summary": summarize(runs, better, bounds)}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
