@@ -29,30 +29,8 @@ from .numbertheory import cyclotomic_value, divisors, factorize, is_prime
 
 
 # ---------------------------------------------------------------------------
-# polynomials over GF(q): 1-d int64 arrays, low-degree first, no trailing zeros
+# polynomials over GF(q): 1-d int64 arrays, low-degree first
 # ---------------------------------------------------------------------------
-
-def _trim(p: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(p)[0]
-    return p[: nz[-1] + 1] if nz.size else p[:0]
-
-
-def _poly_divmod(a: np.ndarray, b: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    a, b = _trim(a % q), _trim(b % q)
-    if b.size == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    if a.size < b.size:
-        return a[:0], a
-    inv_lead = pow(int(b[-1]), -1, q)
-    r = a.copy()
-    quo = np.zeros(a.size - b.size + 1, dtype=np.int64)
-    for shift in range(a.size - b.size, -1, -1):
-        c = r[shift + b.size - 1] * inv_lead % q
-        if c:
-            quo[shift] = c
-            r[shift : shift + b.size] = (r[shift : shift + b.size] - c * b) % q
-    return quo, _trim(r)
-
 
 def _coprime(a: np.ndarray, b: np.ndarray, q: int) -> bool:
     """gcd(a, b) = 1 over GF(q), by Euclid in place on copies of a and b.
@@ -80,25 +58,6 @@ def _coprime(a: np.ndarray, b: np.ndarray, q: int) -> bool:
             da = degree(a, da - 1)
         a, b, da, db = b, a, db, da
     return da == 0
-
-
-def _poly_inv_mod(a: np.ndarray, modulus: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of a modulo `modulus` via extended Euclid; a must be a unit."""
-    r0, r1 = _trim(modulus % q), _trim(a % q)
-    t0 = np.zeros(1, dtype=np.int64)[:0]
-    t1 = np.ones(1, dtype=np.int64)
-    while r1.size:
-        quo, rem = _poly_divmod(r0, r1, q)
-        r0, r1 = r1, rem
-        prod = np.convolve(quo, t1) % q if quo.size and t1.size else quo[:0]
-        n = max(t0.size, prod.size)
-        nxt = np.zeros(n, dtype=np.int64)
-        nxt[: t0.size] += t0
-        nxt[: prod.size] -= prod
-        t0, t1 = t1, _trim(nxt % q)
-    if r0.size != 1:
-        raise ZeroDivisionError("element is not invertible modulo the given polynomial")
-    return _trim(t0 * pow(int(r0[0]), -1, q) % q)
 
 
 class _QuotientRing:
@@ -315,11 +274,7 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in GF(q^l)")
-        f = self.field
-        inv = _poly_inv_mod(self.vec, f._ring.modulus, f.q)
-        out = np.zeros(f.l, dtype=np.int64)
-        out[: inv.size] = inv
-        return FieldElement(f, out)
+        return self ** (self.field.order - 1)  # a^(q^l - 2), as a^(q^l - 1) = 1
 
     def __pow__(self, e: int):
         if not isinstance(e, int):

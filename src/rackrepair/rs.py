@@ -169,24 +169,29 @@ def encode(message: Sequence[FieldElement], code: CodeSpec) -> tuple[FieldElemen
     return tuple(FieldElement(field, v) for v in vecs)
 
 
-@functools.lru_cache(maxsize=None)
-def dual_weights(code: CodeSpec) -> tuple[FieldElement, ...]:
-    """The column multipliers that turn low-degree evaluations into dual
-    codewords of the code: the inverses of `CodeSpec.weight_inverses`, all
-    from one field inverse by Montgomery's trick (invert the product of all
-    n, then peel one factor off at a time, last first).
-
-    A deterministic spot-check (highest-degree monomial pair) verifies the
-    duality before returning.
-    """
-    vals = code.weight_inverses
+def _invert_all(vals: Sequence[FieldElement]) -> list[FieldElement]:
+    """The inverses of nonzero vals, from one field inverse by Montgomery's
+    trick: invert the product of all of them, then peel one factor off at a
+    time, last first."""
     prefix = list(itertools.accumulate(vals, operator.mul))  # vals[0] ... vals[i]
-    inv = prefix[-1].inverse()  # (vals[0] ... vals[i])^-1, for i from n - 1 down
+    inv = prefix[-1].inverse()  # (vals[0] ... vals[i])^-1, for i from len - 1 down
     out = [None] * len(vals)
     for i in range(len(vals) - 1, 0, -1):
         out[i], inv = inv * prefix[i - 1], inv * vals[i]
     out[0] = inv
-    out = tuple(out)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def dual_weights(code: CodeSpec) -> tuple[FieldElement, ...]:
+    """The column multipliers that turn low-degree evaluations into dual
+    codewords of the code: the inverses of `CodeSpec.weight_inverses`, all
+    from one field inverse (`_invert_all`).
+
+    A deterministic spot-check (highest-degree monomial pair) verifies the
+    duality before returning.
+    """
+    out = tuple(_invert_all(code.weight_inverses))
     if code.k >= 1 and code.r >= 1:
         f = [code.field.zero] * (code.k - 1) + [code.field.one]  # x^(k-1)
         g = [code.field.zero] * (code.r - 1) + [code.field.one]  # x^(n-k-1)
@@ -202,7 +207,9 @@ def erasure_decode(
     partial: Sequence[tuple[int, FieldElement]], code: CodeSpec
 ) -> tuple[FieldElement, ...]:
     """Lagrange interpolation of the message polynomial from any k
-    (position, symbol) pairs; positions are flat 1-based node indices.
+    (position, symbol) pairs; positions are flat 1-based node indices, and
+    one outside [1, n] raises `ValueError`.  The k Lagrange denominators
+    take one field inverse between them (`_invert_all`).
 
     Returns exactly k coefficients (lowest-degree first, zero padded), so
     re-encoding reproduces all n symbols.
@@ -212,10 +219,12 @@ def erasure_decode(
     positions = [p for p, _ in partial]
     if len(set(positions)) != len(positions):
         raise ValueError("duplicate positions in erasure pattern")
+    for p in positions:
+        code.rack_of(p)  # raises ValueError outside [1, n]
     field = code.field
     xs = [code.eval_points[p - 1] for p in positions]
-    coeffs = [field.zero] * code.k
-    for i, (_, y) in enumerate(partial):
+    bases, denoms = [], []
+    for i, xi in enumerate(xs):
         basis = [field.one]
         denom = field.one
         for j, xj in enumerate(xs):
@@ -224,8 +233,12 @@ def erasure_decode(
             # basis *= (x - xj)
             shifted = [field.zero] + basis
             basis = [s - b * xj for s, b in zip(shifted, basis + [field.zero])]
-            denom = denom * (xs[i] - xj)
-        scale = y / denom
+            denom = denom * (xi - xj)
+        bases.append(basis)
+        denoms.append(denom)
+    coeffs = [field.zero] * code.k
+    for (_, y), basis, inv_denom in zip(partial, bases, _invert_all(denoms)):
+        scale = y * inv_denom
         for d, b in enumerate(basis):
             coeffs[d] = coeffs[d] + scale * b
     return tuple(coeffs)

@@ -294,6 +294,20 @@ def test_division_by_zero():
         field.zero.inverse()
 
 
+@pytest.mark.parametrize("q,l", [(2, 1), (3, 1), (2, 16), (5, 32), (13, 64), (3, 128), (65537, 4)])
+def test_inverse_beyond_small_fields(q, l):
+    # a^(q^l - 2) is the inverse of every nonzero a; zero has none
+    field = GF(q, l)
+    rng = random.Random(q * l)
+    for _ in range(5):
+        a = field.random_element(rng)
+        if a.is_zero():
+            a = field.one
+        assert a * a.inverse() == field.one
+    with pytest.raises(ZeroDivisionError):
+        field.zero.inverse()
+
+
 def test_mismatched_fields_rejected():
     a = GF(3, 2).one
     b = GF(3, 4).one

@@ -1,7 +1,8 @@
 """Property test over q in {2, 5, 7, 13}: every construction either rejects
 its parameters with ValueError or builds a code in which every node passes
-the rank check, and a compiled repair of a drawn node equals the
-field-arithmetic reference and passes the audit.
+the rank check, a compiled repair of a drawn node equals the
+field-arithmetic reference and passes the audit, and a drawn k-subset of
+the codeword erasure-decodes back to it.
 
 Sub-packetization is capped at l = 64 so that each field builds in about a
 second; the example count is capped and derandomized, so the run is the
@@ -17,6 +18,7 @@ from repair_oracle import reference_repair
 from rackrepair.cli import ExperimentConfig, params_from_config, random_codeword
 from rackrepair.constructions import build, verify_rank_condition
 from rackrepair.repair import RepairSession, audit
+from rackrepair.rs import encode, erasure_decode
 
 MAX_L = 64
 
@@ -60,3 +62,6 @@ def test_every_construction_repairs_exactly(config, data):
     assert tuple((m.rack, m.payload) for m in transcript.messages) == messages
     assert transcript.recovered == recovered == word[node - 1]
     assert audit(transcript, report).ok
+    subset = data.draw(st.permutations(range(1, params.n + 1)), label="subset")[: params.k]
+    decoded = erasure_decode([(p, word[p - 1]) for p in subset], inst.code)
+    assert encode(decoded, inst.code) == word

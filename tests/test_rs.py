@@ -137,6 +137,9 @@ def test_erasure_decode_errors():
         erasure_decode([(1, sym)], code)  # too few
     with pytest.raises(ValueError):
         erasure_decode([(1, sym), (1, sym)], code)  # duplicates
+    for bad in (0, -1, code.n + 1):  # position 0 must not read node n's point
+        with pytest.raises(ValueError, match="outside"):
+            erasure_decode([(bad, sym), (1, sym)], code)
 
 
 def test_mds_roundtrip_random_subsets():
@@ -162,6 +165,19 @@ def test_mds_exhaustive_subsets():
         assert encode(decoded, code) == word
         count += 1
     assert count == 15  # C(6, 2)
+
+
+def test_mds_exhaustive_subsets_c2():
+    # every 4 of the 12 symbols of the C2 code read the message back
+    code = build(c2_params(3, 2, 6, (2, 2))).code
+    rng = random.Random(47)
+    message = random_message(code, rng)
+    word = encode(message, code)
+    count = 0
+    for subset in itertools.combinations(range(1, code.n + 1), code.k):
+        assert list(erasure_decode([(p, word[p - 1]) for p in subset], code)) == message
+        count += 1
+    assert count == 495  # C(12, 4)
 
 
 def test_poly_eval_horner():
@@ -245,6 +261,28 @@ def test_dual_weights_take_one_inverse(name, monkeypatch):
     lam = dual_weights.__wrapped__(code)  # past the cache, so the count is this call's
     assert len(calls) == 1
     assert lam == tuple(inverse(p) for p in code.weight_inverses)
+
+
+@pytest.mark.parametrize("name", ["C2", "C2-q13", "small_code"])
+def test_erasure_decode_takes_one_inverse(name, monkeypatch):
+    # the k Lagrange denominators are inverted together, like the dual weights
+    code = ENCODE_CODES[name]()
+    rng = random.Random(67)
+    message = random_message(code, rng)
+    word = encode(message, code)
+    subset = rng.sample(range(1, code.n + 1), code.k)
+    calls = []
+    inverse = FieldElement.inverse
+    monkeypatch.setattr(FieldElement, "inverse", lambda a: calls.append(1) or inverse(a))
+    assert list(erasure_decode([(p, word[p - 1]) for p in subset], code)) == message
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["C2", "C2-q13", "small_code"])
+def test_invert_all_matches_single_inverses(name):
+    vals = ENCODE_CODES[name]().weight_inverses
+    for part in (vals[:1], vals):
+        assert rs._invert_all(part) == [v.inverse() for v in part]
 
 
 def test_encode_rejects_foreign_symbols():
