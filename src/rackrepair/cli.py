@@ -309,6 +309,8 @@ def _config_from_args(args) -> ExperimentConfig:
         raise ValueError(f"--format applies to sweep and nbar-sweep only, not {args.command}")
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ValueError(f"--out directory does not exist: {args.out!r}")
+    if args.out and os.path.isdir(args.out):
+        raise ValueError(f"--out names a directory, not a file: {args.out!r}")
     return ExperimentConfig(
         mode=args.mode, q=args.q, u=args.u, nbar=args.nbar, rbar=args.rbar,
         primes=primes, v=args.v, trials=args.trials, seed=args.seed,
@@ -318,8 +320,11 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _write(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -167,13 +167,8 @@ class CodeInstance:
         return tuple(powers)
 
     @functools.cached_property
-    def plan_memo(self) -> dict:
-        """The last repair plan `repair.RepairSession` compiled, keyed by group and descriptors."""
-        return {}
-
-    @functools.cached_property
-    def rank_memo(self) -> dict:
-        """The last rack `verify_rank_condition` checked: its rack-wide scheme and host-row rank."""
+    def rack_memo(self) -> dict:
+        """The rack `verify_rank_condition` checked last: its scheme, rank, dual basis and plan."""
         return {}
 
 
@@ -283,15 +278,15 @@ def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
     t + s * exponent(host) are exactly scale * [0, l-1], where scale is the
     radix weight of position y on the last block and 1 elsewhere (1 in the
     basic modes, where the evaluated set is {(zeta^u)^a : a in [0, l-1]}).
-    The rank is taken on the host row of `repair_family`; no point is
-    evaluated here (`build` asserts the point identity, the tests evaluate).
-    The family, and so both checks, depend on the node only through its
-    rack, so `CodeInstance.rank_memo` keeps the rack checked last and its
-    other nodes reuse its rows and rank.
+    The rank is l exactly when the host row of `repair_family` has a dual
+    basis, so that is the check (`rank_over_base` only reports a failed
+    rank); no point is evaluated here.  Both checks depend on the node only
+    through its rack, so `CodeInstance.rack_memo` keeps the rack checked
+    last, with the dual basis `repair.RepairSession` plans from.
     """
     params = instance.params
     host, _ = instance.code.rack_of(node)
-    memo = instance.rank_memo
+    memo = instance.rack_memo
     if host not in memo:
         memo.clear()
         scheme = repair_family(instance, node)
@@ -301,7 +296,11 @@ def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
             scale = instance.radix.weights[y - 1] if w == params.nprime - 1 else 1
             if sums != [scale * a for a in range(params.l)]:
                 raise AssertionError("coset decomposition of the host exponents failed")
-        memo[host] = scheme, rank_over_base(scheme.rows[host - 1]).rank
-    scheme, rank = memo[host]
+        try:
+            dual, rank = instance.field.dual_basis(scheme.rows[host - 1]), params.l
+        except ValueError:  # rank deficient: reduce once more to report the rank
+            dual, rank = None, rank_over_base(scheme.rows[host - 1]).rank
+        memo[host] = {"scheme": scheme, "rank": rank, "dual": dual}
+    scheme, rank = memo[host]["scheme"], memo[host]["rank"]
     ok = rank == params.l
     return RankCheck(ok=ok, rank=rank, scheme=replace(scheme, node=node, rank_verified=ok))

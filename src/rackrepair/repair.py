@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constructions import CodeInstance, RepairScheme, SchemeParams, rack_wy
+from .constructions import CodeInstance, RepairScheme, SchemeParams, rack_wy, verify_rank_condition
 from .gf import FieldElement, rank_over_base, reduce_residues
 
 
@@ -112,8 +112,8 @@ def bounds(params: SchemeParams, node: int) -> BoundSet:
 
 
 class RepairSession:
-    """Per-node repair: its weight group's plan and its B-scalar, compiled
-    into residue matrices over B and run on any number of codewords.
+    """Per-node repair: its rack's plan and its B-scalar, compiled into
+    residue matrices over B and run on any number of codewords.
 
     Let g_i(e) be row i of rack e's rows, z_i = g_i(host), mu_i the dual
     basis of the z_i, sigma_e the sum of lam_j c_j over rack e and nu that
@@ -124,17 +124,17 @@ class RepairSession:
     gives tr(z_i lam_f c_f) = -(h_i + tr(z_i nu)), so
     c_f = H (expand(h) + nu) with host map H = -M(lam_f^-1).  The plan is
     P_e and one decoder [H | D_e ...], D_e = H mu^T coords_e, with H read
-    from the code's stored lambda_f^-1 (no field inverse per node).  A run
-    uses the code's per-rack weight stack: rack e's weights are
-    lambda_(e,j) = w_j lambda_(e,1), w_j in B, so sigma_e is
-    M(lambda_(e,1)) (sum_j w_j c_j), one B-combination and one batched
-    product for all racks (one group per node when a code's weights do not
-    factor so; see `CodeSpec.weight_matrices`); then one product per helper
-    rack and one decoder product.  The rows depend only on the rack and the
-    decoder is linear in H, so a group shares one plan, compiled for its
-    first node: node j's decoder is w_j^-1 times that node's, mod q, which
-    a run applies to the decoded vector.  `CodeInstance.plan_memo` keeps
-    the group compiled last.
+    from the code's stored lambda_f^-1 (no field inverse per node) and mu
+    the dual basis that was the rack's rank check.  Rack e's points are
+    gamma_e a^j, a in B, so prod_j (x - gamma_e a^j) = x^u - gamma_e^u and
+    lambda_(e,j) = a^((1-j)(u-1)) lambda_(e,1): `CodeSpec.weight_scalars`
+    is (nbar, u) (`AssertionError` otherwise).  A run forms every sigma_e
+    = M(lambda_(e,1)) (sum_j w_j c_j) by one B-combination and one batched
+    product, then one product per helper rack and one for the decoder.
+    The decoder is linear in H, so a rack's nodes share the plan compiled
+    for its first node, kept in `CodeInstance.rack_memo` (a session whose
+    rack was not checked last runs `verify_rank_condition` first): node j
+    applies w_j^-1 mod q to the decoded vector.
 
     Every product and running sum stays below max(u, nbar) l (q-1)^2, so it
     is exact in the dtype `residue_dtype` picks for that bound (float32 below
@@ -154,17 +154,19 @@ class RepairSession:
         self.host_rack, failed_j = code.rack_of(node)
         self.weights = code.weight_matrices
         dtype = self.weights.dtype
+        if code.weight_scalars.shape != (params.nbar, params.u):
+            raise AssertionError("dual weights are not B-multiples of one weight per rack")
         self.scalars = code.weight_scalars[:, :, None]
 
-        group, j = divmod(node - 1, self.scalars.shape[1])
-        memo, key = instance.plan_memo, (group, scheme.descriptors)
-        if key not in memo:  # compile the group's plan for its first node, node - j
-            memo.clear()  # before compiling, so the old plan is freed first
-            rows = scheme.rows
+        if self.host_rack not in instance.rack_memo:
+            verify_rank_condition(instance, node)
+        entry = instance.rack_memo[self.host_rack]
+        if "plan" not in entry:  # compile the rack's plan for its first node
+            rows = entry["scheme"].rows
             tf = field._trace_form.astype(dtype)
-            lam_inv = code.weight_inverses[node - j - 1]
+            lam_inv = code.weight_inverses[(self.host_rack - 1) * params.u]
             host_map = reduce_residues(-field.mul_matrix(lam_inv, dtype), q)
-            mu = np.stack([m.vec for m in field.dual_basis(rows[self.host_rack - 1]).mu_basis])
+            mu = np.stack([m.vec for m in entry["dual"].mu_basis])
             expand = reduce_residues(host_map @ mu.T.astype(dtype), q)
             helpers = []  # (rack, basis, payload map P_e)
             blocks = [host_map]  # the decoder, l x (l + b): [nu, payloads...] -> c_f
@@ -177,9 +179,9 @@ class RepairSession:
                 basis_mat = np.stack([b.vec for b in basis]).astype(dtype)
                 helpers.append((e, basis, reduce_residues(basis_mat @ tf, q)))
                 blocks.append(reduce_residues(expand @ profile.coords.astype(dtype), q))
-            memo[key] = tuple(helpers), np.concatenate(blocks, axis=1)
-        self.helpers, self.decoder = memo[key]
-        self.w_inv = pow(int(self.scalars[group, j, 0]), -1, q)  # the node's B-scalar
+            entry["plan"] = tuple(helpers), np.concatenate(blocks, axis=1)
+        self.helpers, self.decoder = entry["plan"]
+        self.w_inv = pow(int(self.scalars[self.host_rack - 1, failed_j - 1, 0]), -1, q)
         self.b = self.decoder.shape[1] - params.l
         self.host_nodes = tuple(code.node_index(self.host_rack, m)
                                 for m in range(1, params.u + 1) if m != failed_j)
@@ -203,12 +205,11 @@ class RepairSession:
 
         vecs = [field._check(c).vec for c in codeword]
         vecs[node - 1] = field.zero.vec
-        symbols = np.array(vecs, dtype=self.weights.dtype).reshape(*self.scalars.shape[:2], params.l)
-        # each group's symbols combined with their weight scalars, then one
-        # product per group; sigma_e for every rack, the host rack's sum is nu
+        symbols = np.array(vecs, dtype=self.weights.dtype).reshape(params.nbar, params.u, params.l)
+        # each rack's symbols combined with their weight scalars, then one
+        # product per rack: sigma_e for every rack, the host rack's is nu
         combined = reduce_residues((self.scalars * symbols).sum(axis=1), q)
-        sigma = self.weights @ combined[:, :, None]
-        sigma = reduce_residues(sigma.reshape(params.nbar, -1, params.l).sum(axis=1), q)
+        sigma = reduce_residues(self.weights @ combined[:, :, None], q)[:, :, 0]
         parts = [sigma[self.host_rack - 1]]
         messages = []
         for e, basis, payload_map in self.helpers:

@@ -207,9 +207,9 @@ def erasure_decode(
     partial: Sequence[tuple[int, FieldElement]], code: CodeSpec
 ) -> tuple[FieldElement, ...]:
     """Lagrange interpolation of the message polynomial from any k
-    (position, symbol) pairs; positions are flat 1-based node indices, and
-    one outside [1, n] raises `ValueError`.  The k Lagrange denominators
-    take one field inverse between them (`_invert_all`).
+    (position, symbol) pairs at flat 1-based node indices (a position outside
+    [1, n] or a symbol outside the code's field raises `ValueError`).  The k
+    Lagrange denominators take one field inverse between them (`_invert_all`).
 
     Returns exactly k coefficients (lowest-degree first, zero padded), so
     re-encoding reproduces all n symbols.
@@ -219,9 +219,10 @@ def erasure_decode(
     positions = [p for p, _ in partial]
     if len(set(positions)) != len(positions):
         raise ValueError("duplicate positions in erasure pattern")
-    for p in positions:
-        code.rack_of(p)  # raises ValueError outside [1, n]
     field = code.field
+    for p, y in partial:
+        code.rack_of(p)  # raises ValueError outside [1, n]
+        field._check(y)  # and for a symbol outside the code's field
     xs = [code.eval_points[p - 1] for p in positions]
     bases, denoms = [], []
     for i, xi in enumerate(xs):

@@ -1,8 +1,9 @@
+import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from bench_pairs import attempted_medians, summarize  # noqa: E402
+from bench_pairs import attempted_medians, main, summarize  # noqa: E402
 
 
 def _runs(values):
@@ -73,3 +74,35 @@ def test_attempted_medians():
     runs = {"base": [{"attempted": a} for a in (29000, 31000, 30000, 28000)],
             "change": [{"attempted": a} for a in (55000, 54000, 56000)]}
     assert attempted_medians(runs) == {"base": 29500, "change": 55000}
+
+
+FAKE_RUN = """import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed == 2:
+    sys.stderr.write("setting up\\nboom: the run broke\\n")
+    sys.exit(3)
+print(json.dumps({"env": {}}))
+print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {"setup_s": {"value": 0.1 * seed}}}))
+"""
+
+
+def test_failed_run_keeps_finished_pairs(tmp_path, capsys):
+    # a checkout whose run fails at seed 2 with exit code 3: the file keeps
+    # the pair of seed 1 and names the failed run, and the tool exits 1
+    checkout = tmp_path / "checkout"
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (checkout / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25}]}))
+    out = tmp_path / "BENCH.json"
+    assert main(["--base", str(checkout), "--change", str(checkout), "--workload", "w",
+                 "--seeds", "1,2,3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "change run failed: workload w, seed 2, exit code 3" in err
+    assert "boom: the run broke" in err
+    entry = json.loads(out.read_text())["workloads"]["w"]
+    assert [[r["seed"] for r in entry["runs"][side]] for side in ("base", "change")] == [[1], [1]]
+    assert entry["summary"]["setup_s"]["base"]["median"] == 0.1
+    assert entry["failed_run"] == {"side": "change", "pair": 1, "seed": 2, "returncode": 3,
+                                   "stderr_tail": "setting up\nboom: the run broke"}

@@ -1,8 +1,15 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rackrepair import cli
 from rackrepair.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -185,6 +192,7 @@ INVALID = [
     (["build", "--rbar", "2", "--format", "json"], "--format"),
     (["repair", "--mode", "C2", "--nbar", "6", "--primes", "2,2", "--node", "5", "--format", "csv"],
      "--format"),
+    (["build", "--mode", "C1", "--rbar", "2", "--out", "."], "--out"),
 ]
 
 
@@ -204,6 +212,7 @@ def test_main_invalid_parameters_no_traceback(argv, names, capsys):
 @pytest.mark.parametrize("argv", [
     ["sweep", "--rbar", "2", "--trials", "-1"],
     ["sweep", "--rbar", "2", "--out", "missing_dir/x"],
+    ["sweep", "--rbar", "2", "--out", "."],
 ])
 def test_main_rejects_before_field_work(argv, monkeypatch):
     def no_build(params):
@@ -211,6 +220,82 @@ def test_main_rejects_before_field_work(argv, monkeypatch):
 
     monkeypatch.setattr("rackrepair.cli.build", no_build)
     assert main(argv) == 2
+
+
+def test_main_report_write_error_exit_2(tmp_path, monkeypatch, capsys):
+    # an OSError while the report is written is one line, not a traceback
+    def unwritable(path, mode="r"):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", unwritable, raising=False)
+    out = tmp_path / "report.csv"
+    assert main(["build", "--rbar", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid parameters: ") and err.count("\n") == 1
+    assert "--out" in err and "Permission denied" in err
+    assert not out.exists()
+
+
+# flags that may override a valid draw; each makes it invalid or keeps l <= 32
+OVERRIDES = [("--rbar", "1"), ("--rbar", "3"), ("--rbar", "5"), ("--rbar", "7"),
+             ("--primes", "2,2"), ("--primes", "2,3"), ("--primes", "2"), ("--primes", "4,2"),
+             ("--primes", "2,x"), ("--primes", ""), ("--q", "2"), ("--q", "4"), ("--u", "3"),
+             ("--nbar", "1"), ("--trials", "-1"), ("--format", "json"), ("--node", "0"),
+             ("--node", "99")]
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv lists over every sub-command and mode: a valid draw for the
+    mode, then up to two `OVERRIDES`.  Any field they name has l <= 32
+    (nbar <= 5, and nbar <= 3 where rbar = 3).  The --out kind is drawn
+    apart, since its path is made per example."""
+    command = draw(st.sampled_from(["build", "repair", "sweep", "nbar-sweep"]))
+    mode = draw(st.sampled_from(["C1", "C2", "Cor7", "homogeneous"]))
+    q = draw(st.sampled_from([3, 2, 5, 7]))
+    divisors = [d for d in (1, 2, 3) if (q - 1) % d == 0]
+    u = 1 if mode == "homogeneous" else draw(st.sampled_from(divisors))
+    flags = {"--mode": mode, "--q": str(q), "--u": str(u), "--nbar": str(draw(st.integers(3, 5))),
+             "--trials": str(draw(st.sampled_from([1, 0])))}
+    flags |= {"--primes": "2,2"} if mode == "C2" else {"--rbar": "5" if mode == "Cor7" else "2"}
+    if command == "repair":
+        flags["--node"] = str(draw(st.sampled_from([1, 3, 99])))
+    elif command != "build":
+        flags["--format"] = draw(st.sampled_from(["csv", "json"]))
+    flags |= dict(draw(st.lists(st.sampled_from(OVERRIDES), max_size=2)))
+    if flags.get("--rbar") == "3":
+        flags["--nbar"] = str(min(int(flags["--nbar"]), 3))
+    argv = [command] + [x for flag in flags.items() for x in flag]
+    return argv, draw(st.sampled_from(["none", "new file", "directory", "missing directory"]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(drawn=cli_argvs())
+def test_main_exit_status_property(drawn):
+    # every drawn argv exits 0, 1 or 2 (argparse's SystemExit(2) included)
+    # with no traceback, and a 2 from main comes with exactly one
+    # `invalid parameters:` line
+    argv, out_kind = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        out = {"none": None, "new file": Path(tmp) / "report.txt", "directory": Path(tmp),
+               "missing directory": Path(tmp) / "missing" / "report.txt"}[out_kind]
+        if out is not None:
+            argv = argv + ["--out", str(out)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected the argv
+                assert exc.code == 2
+                code = None
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    if code is None:
+        assert "error:" in err
+        return
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("invalid parameters: ") and err.count("\n") == 1
 
 
 def test_rank_failure_row(monkeypatch, capsys):

@@ -208,18 +208,12 @@ def test_run_matches_reference_repair(params):
             assert transcript.recovered == recovered == word[node - 1]
 
 
-def _one_node_groups(elems, u, q):
-    """The all-ones fallback of `rs._rack_scalars`: every node its own group."""
-    return np.ones((len(elems), 1), dtype=np.int64)
-
-
 @pytest.mark.parametrize("params", [c2_params(3, 2, 6, (2, 2)), c2_params(13, 3, 6, (2, 2))],
                          ids=["c2", "q13"])
 def test_one_plan_per_rack(params, monkeypatch):
-    # planning every node in order compiles each rack once: one dual basis
-    # per rack, and the rack's nodes share its payload maps and decoder;
-    # each node's own decoder, compiled alone when every node is its own
-    # group, is w_j^-1 times the decoder of its rack's first node, mod q
+    # planning every node in order takes one dual basis per rack, in its
+    # rank check, and none in the sessions; the rack's nodes share its
+    # payload maps and decoder, and each applies its own B-scalar w_j^-1
     inst = build(params)
     calls = []
     dual_basis = ExtensionField.dual_basis
@@ -231,35 +225,29 @@ def test_one_plan_per_rack(params, monkeypatch):
     monkeypatch.setattr(ExtensionField, "dual_basis", counted)
     sessions = [RepairSession(inst, verify_rank_condition(inst, node).scheme)
                 for node in range(1, params.n + 1)]
-    assert len(calls) == params.nbar == 6
-    assert len(inst.plan_memo) == 1  # only the group compiled last is kept
+    assert calls == [params.l] * params.nbar and params.nbar == 6
+    assert list(inst.rack_memo) == [params.nbar]  # only the rack checked last is kept
     q, u = params.q, params.u
     w = inst.code.weight_scalars.astype(np.int64)
     assert w.shape == (params.nbar, u) and (w != 1).any()
-
-    monkeypatch.setattr(rs, "_rack_scalars", _one_node_groups)
-    alone = build(params)
     for node, session in enumerate(sessions, 1):
         first = sessions[(node - 1) // u * u]
         assert session.decoder is first.decoder
         assert len(session.helpers) == len(first.helpers) == params.nbar - 1
         for (e, basis, pmap), (e1, basis1, pmap1) in zip(session.helpers, first.helpers):
             assert e == e1 and basis is basis1 and pmap is pmap1
-        w_inv = pow(int(w[(node - 1) // u, (node - 1) % u]), -1, q)
-        assert session.w_inv == w_inv
-        own = RepairSession(alone, verify_rank_condition(alone, node).scheme).decoder
-        assert np.array_equal(own.astype(np.int64), first.decoder.astype(np.int64) * w_inv % q)
+        assert session.w_inv == pow(int(w[(node - 1) // u, (node - 1) % u]), -1, q)
 
 
 @pytest.mark.parametrize("params,rrefs", [
-    (c2_params(3, 2, 6, (2, 2)), 42),
-    (c1_params(3, 2, 7, 2), 56),
-    (c2_params(13, 3, 6, (2, 2)), 42),
+    (c2_params(3, 2, 6, (2, 2)), 36),
+    (c1_params(3, 2, 7, 2), 49),
+    (c2_params(13, 3, 6, (2, 2)), 36),
 ], ids=["c2", "l128", "q13"])
 def test_all_node_setup_rref_calls(params, rrefs, monkeypatch):
     # an all-node set-up in node order row-reduces once per rack for its
-    # rank check and its dual basis, and once per helper rack of its plan:
-    # nbar (nbar + 1) calls, the u nodes of a rack sharing the first two
+    # rank check, whose dual basis the plan reuses, and once per helper rack
+    # of its plan: nbar^2 calls, the u nodes of a rack sharing all of them
     inst = build(params)
     rs.dual_weights(inst.code)
     calls = []
@@ -272,44 +260,53 @@ def test_all_node_setup_rref_calls(params, rrefs, monkeypatch):
     monkeypatch.setattr(gf, "_rref", counted)
     for node in range(1, params.n + 1):
         RepairSession(inst, verify_rank_condition(inst, node).scheme)
-    assert len(calls) == rrefs == params.nbar * (params.nbar + 1)
+    assert len(calls) == rrefs == params.nbar ** 2
 
 
 @pytest.mark.parametrize("params", [c2_params(3, 2, 6, (2, 2)), cor7_params(3, 2, 6, 5),
                                     c2_params(3, 2, 5, (2, 2))], ids=["c2", "Cor7", "C2-remainder"])
 def test_rank_check_reuses_the_last_rack(params):
     # in any node order, each check equals a fresh family of its own node
-    # with its rank verified; the memo holds only the rack checked last
+    # with its rank verified; the memo holds only the rack checked last,
+    # with the host row's dual basis
     inst = build(params)
     order = list(range(1, params.n + 1)) * 2
     random.Random(71).shuffle(order)
+    checks = {}
     for node in order:
-        check = verify_rank_condition(inst, node)
+        checks[node] = check = verify_rank_condition(inst, node)
         fresh = repair_family(inst, node)
         assert check.ok and check.rank == params.l
         assert check.scheme == replace(fresh, rank_verified=True)
-        assert list(inst.rank_memo) == [fresh.rack]
+        assert list(inst.rack_memo) == [fresh.rack]
+        entry = inst.rack_memo[fresh.rack]
+        assert entry["rank"] == params.l
+        assert entry["dual"].zeta_basis == fresh.rows[fresh.rack - 1]
+    # a node whose rack has left the memo is checked again when planned,
+    # and still equals the reference repair
+    node = next(n for n in order if inst.code.rack_of(n)[0] != inst.code.rack_of(order[-1])[0])
+    session = RepairSession(inst, checks[node].scheme)
+    assert list(inst.rack_memo) == [inst.code.rack_of(node)[0]]
+    word = random_codeword(inst, random.Random(53))
+    transcript, _ = session.run(word)
+    messages, recovered = reference_repair(inst, checks[node].scheme, word)
+    assert tuple((m.rack, m.payload) for m in transcript.messages) == messages
+    assert transcript.recovered == recovered == word[node - 1]
 
 
-def test_one_node_groups_match_reference(monkeypatch):
-    # weights that do not factor by rack leave every node its own group (the
-    # all-ones fallback of `_rack_scalars`): each node compiles its own plan,
-    # and every node of c2 still equals the reference repair
-    monkeypatch.setattr(rs, "_rack_scalars", _one_node_groups)
+def test_weights_that_do_not_factor_by_rack_are_refused(monkeypatch):
+    # a plan is per rack, so a code whose dual weights are not B-multiples
+    # of one weight per rack (the all-ones fallback of `_rack_scalars`,
+    # every node its own group) has no plan: the session refuses it
+    monkeypatch.setattr(rs, "_rack_scalars",
+                        lambda elems, u, q: np.ones((len(elems), 1), dtype=np.int64))
     params = c2_params(3, 2, 6, (2, 2))
     inst = build(params)
     assert inst.code.weight_scalars.shape == (params.n, 1)
-    rng = random.Random(53)
-    for node in range(1, params.n + 1):
-        check = verify_rank_condition(inst, node)
-        session = RepairSession(inst, check.scheme)
-        assert list(inst.plan_memo) == [(node - 1, check.scheme.descriptors)]
-        for _ in range(2):
-            word = random_codeword(inst, rng)
-            transcript, _ = session.run(word)
-            messages, recovered = reference_repair(inst, check.scheme, word)
-            assert tuple((m.rack, m.payload) for m in transcript.messages) == messages
-            assert transcript.recovered == recovered == word[node - 1]
+    check = verify_rank_condition(inst, 3)
+    assert check.ok
+    with pytest.raises(AssertionError, match="not B-multiples"):
+        RepairSession(inst, check.scheme)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])

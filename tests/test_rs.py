@@ -140,6 +140,14 @@ def test_erasure_decode_errors():
     for bad in (0, -1, code.n + 1):  # position 0 must not read node n's point
         with pytest.raises(ValueError, match="outside"):
             erasure_decode([(bad, sym), (1, sym)], code)
+    # a plain int, or an element of another field, is not a symbol of the code
+    c1 = build(c1_params(3, 2, 3, 2)).code
+    word = list(encode([c1.field.one] * c1.k, c1))
+    for bad in (0, GF(5, c1.field.l).one):
+        partial = [(p, word[p - 1]) for p in range(1, c1.k + 1)]
+        partial[1] = (2, bad)
+        with pytest.raises(ValueError, match="does not belong"):
+            erasure_decode(partial, c1)
 
 
 def test_mds_roundtrip_random_subsets():
@@ -229,10 +237,15 @@ def test_encode_wide_dtypes(monkeypatch, dtype):
 
 
 def test_build_codes_store_one_matrix_per_rack():
-    # rack e's points are gamma_e s_j and its weights lambda_e w_j, s_j and
-    # w_j in B, so one matrix per rack and B-scalars stand for every node
-    for params in (c2_params(3, 2, 6, (2, 2)), c2_params(13, 3, 6, (2, 2))):
-        code = build(params).code
+    # rack e's points are gamma_e a^j, a in B of order u, so
+    # prod_j (x - gamma_e a^j) = x^u - gamma_e^u and its weights are
+    # lambda_(e,j) = a^((1-j)(u-1)) lambda_(e,1): one matrix per rack and
+    # B-scalars stand for every node, in every mode
+    for params in (c2_params(3, 2, 6, (2, 2)), c2_params(13, 3, 6, (2, 2)), c1_params(3, 2, 3, 2),
+                   c1_params(5, 4, 3, 2, v=2), homogeneous_params(3, 3, 2),
+                   cor7_params(3, 2, 6, 5), c2_params(3, 2, 5, (2, 2))):
+        inst = build(params)
+        code = inst.code
         field, q, l = code.field, code.field.q, code.field.l
         lam = dual_weights(code)
         assert code.point_matrices.shape == code.weight_matrices.shape == (code.nbar, l, l)
@@ -240,8 +253,10 @@ def test_build_codes_store_one_matrix_per_rack():
         assert code.weight_scalars.shape == (code.nbar, code.u)
         for node in range(1, code.n + 1):
             e, j = code.rack_of(node)
-            s = int(code.point_powers[1, e - 1, j - 1])
+            s = pow(inst.alpha, j - 1, q)
+            assert code.point_powers[:, e - 1, j - 1].tolist() == [s**m % q for m in range(code.k)]
             w = int(code.weight_scalars[e - 1, j - 1])
+            assert w == pow(inst.alpha, (1 - j) * (code.u - 1), q)
             assert code.eval_points[node - 1] == s * code.eval_points[(e - 1) * code.u]
             assert np.array_equal(field.mul_matrix(lam[node - 1]),
                                   w * code.weight_matrices[e - 1].astype(np.int64) % q)

@@ -19,6 +19,10 @@ Each workload also records each side's median number of operations
 attempted per run, so a metric that grows with the work a run completes,
 such as `peak_rss_mb`, can be read against it.
 `--workload` may be given more than once.
+
+A run that exits non-zero stops the whole comparison: the file is written
+with the pairs finished so far and the failed run (side, seed, exit code
+and the tail of its stderr), the same is printed, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -31,11 +35,21 @@ import sys
 from pathlib import Path
 
 
+class RunFailed(RuntimeError):
+    """A benchmark run exited non-zero; carries its exit code and stderr tail."""
+
+    def __init__(self, returncode: int, stderr_tail: str):
+        super().__init__(f"exit code {returncode}")
+        self.returncode, self.stderr_tail = returncode, stderr_tail
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
-    lines = out.splitlines()
+    got = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if got.returncode != 0:
+        raise RunFailed(got.returncode, "\n".join(got.stderr.splitlines()[-20:]))
+    lines = got.stdout.splitlines()
     head, result = json.loads(lines[0]), json.loads(lines[-1])
     return {"seed": seed, "env": head["env"], "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
@@ -81,6 +95,15 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str],
     return out
 
 
+def record(runs: dict[str, list[dict]], better: dict[str, str],
+           bounds: dict[str, float]) -> dict:
+    """One workload's entry: its runs and, once a pair has finished, their summary."""
+    if not runs["base"]:
+        return {"runs": runs}
+    return {"runs": runs, "attempted_median": attempted_medians(runs),
+            "summary": summarize(runs, better, bounds)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True)
@@ -103,12 +126,23 @@ def main(argv=None) -> int:
         for i, seed in enumerate(seeds):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                run = run_once(sides[side], workload, seed, seconds)
+                try:
+                    run = run_once(sides[side], workload, seed, seconds)
+                except RunFailed as exc:  # keep the finished pairs, drop this one
+                    finished = {s: [r for r in rs if r["pair"] < i] for s, rs in runs.items()}
+                    failed = {"side": side, "pair": i, "seed": seed,
+                              "returncode": exc.returncode, "stderr_tail": exc.stderr_tail}
+                    doc["workloads"][workload] = record(finished, better, bounds) | {
+                        "failed_run": failed}
+                    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+                    print(f"{side} run failed: workload {workload}, seed {seed}, exit code "
+                          f"{exc.returncode}; its stderr ends:\n{exc.stderr_tail}",
+                          file=sys.stderr, flush=True)
+                    return 1
                 runs[side].append(run | {"pair": i, "first": side == order[0]})
                 print(f"{workload} pair {i} {side}: " + " ".join(
                     f"{k}={v:.4g}" for k, v in run["metrics"].items()), file=sys.stderr, flush=True)
-        doc["workloads"][workload] = {"runs": runs, "attempted_median": attempted_medians(runs),
-                                      "summary": summarize(runs, better, bounds)}
+        doc["workloads"][workload] = record(runs, better, bounds)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
