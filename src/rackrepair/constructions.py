@@ -168,7 +168,7 @@ class CodeInstance:
 
     @functools.cached_property
     def rack_memo(self) -> dict:
-        """The rack `verify_rank_condition` checked last: its scheme, rank, dual basis and plan."""
+        """The rack `verify_rank_condition` checked last: scheme, rank, then dual basis or plan."""
         return {}
 
 

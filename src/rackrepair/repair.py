@@ -166,7 +166,7 @@ class RepairSession:
             tf = field._trace_form.astype(dtype)
             lam_inv = code.weight_inverses[(self.host_rack - 1) * params.u]
             host_map = reduce_residues(-field.mul_matrix(lam_inv, dtype), q)
-            mu = np.stack([m.vec for m in entry["dual"].mu_basis])
+            mu = np.stack([m.vec for m in entry.pop("dual").mu_basis])  # the plan replaces it
             expand = reduce_residues(host_map @ mu.T.astype(dtype), q)
             helpers = []  # (rack, basis, payload map P_e)
             blocks = [host_map]  # the decoder, l x (l + b): [nu, payloads...] -> c_f

@@ -212,8 +212,9 @@ def test_run_matches_reference_repair(params):
                          ids=["c2", "q13"])
 def test_one_plan_per_rack(params, monkeypatch):
     # planning every node in order takes one dual basis per rack, in its
-    # rank check, and none in the sessions; the rack's nodes share its
-    # payload maps and decoder, and each applies its own B-scalar w_j^-1
+    # rank check, and none in the sessions; the plan replaces it in the
+    # memo, the rack's nodes share the plan's payload maps and decoder, and
+    # each applies its own B-scalar w_j^-1
     inst = build(params)
     calls = []
     dual_basis = ExtensionField.dual_basis
@@ -227,6 +228,7 @@ def test_one_plan_per_rack(params, monkeypatch):
                 for node in range(1, params.n + 1)]
     assert calls == [params.l] * params.nbar and params.nbar == 6
     assert list(inst.rack_memo) == [params.nbar]  # only the rack checked last is kept
+    assert "plan" in inst.rack_memo[params.nbar] and "dual" not in inst.rack_memo[params.nbar]
     q, u = params.q, params.u
     w = inst.code.weight_scalars.astype(np.int64)
     assert w.shape == (params.nbar, u) and (w != 1).any()
