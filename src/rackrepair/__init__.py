@@ -20,11 +20,8 @@ from .constructions import (
 )
 from .gf import (
     GF,
-    DualBasisPair,
     ExtensionField,
     FieldElement,
-    PrimeField,
-    expand_in_dual_basis,
     factor_field_order,
     find_irreducible,
     find_primitive_element,

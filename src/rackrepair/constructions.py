@@ -24,7 +24,7 @@ import functools
 from dataclasses import dataclass, replace
 from math import prod
 
-from .gf import GF, ExtensionField, FieldElement, PrimeField, rank_over_base
+from .gf import GF, ExtensionField, FieldElement, rank_over_base
 from .numbertheory import factorize, is_prime
 from .radix import RadixSystem, index_set
 from .rs import CodeSpec
@@ -145,8 +145,9 @@ def cor7_params(q: int, u: int, nbar: int, rbar: int, v: int = 0) -> SchemeParam
 @dataclass(frozen=True, eq=False)
 class CodeInstance:
     """A built code: node j of rack e sits at zeta^exponent(e) * alpha^j,
-    alpha of order u in B, where exponent(e) is `radix.weights[e - 1]`; the
-    points themselves are `code.eval_points`, rack-major."""
+    alpha = g^((q-1)/u) of order u in B with g the certified zeta of
+    GF(q, 1), where exponent(e) is `radix.weights[e - 1]`; the points
+    themselves are `code.eval_points`, rack-major."""
 
     params: SchemeParams
     field: ExtensionField
@@ -195,8 +196,7 @@ def build(params: SchemeParams) -> CodeInstance:
     if radix.capacity != params.l:
         raise AssertionError("digit system capacity does not match l")
     field = GF(params.q, params.l)
-    base = PrimeField(params.q)
-    alpha = pow(base.primitive_root, (params.q - 1) // params.u, params.q)
+    alpha = pow(GF(params.q, 1).zeta.coeffs[0], (params.q - 1) // params.u, params.q)
     if pow(alpha, params.u, params.q) != 1 or any(
         pow(alpha, params.u // p, params.q) == 1 for p in set(factorize(params.u))
     ):

@@ -166,14 +166,15 @@ def residue_dtype(q: int, l: int, u: int, nbar: int):
     step adds one more), a rack's sum adds u of those, and the decoder
     product sums l + b <= nbar l; so every entry stays below
     max(u, nbar) l (q-1)^2 (nbar >= 2 in every code): exact in float32 below
-    2^24, in int64 below 2^63, and in Python integers (object arrays)
-    beyond."""
+    2^24 and in int64 below 2^63.  Every code `build` makes has u <= q - 1
+    and nbar <= 12 under the field limits, so its bound is at most 2^60;
+    a bound of 2^63 or more raises `ValueError`."""
     bound = max(u, nbar) * l * (q - 1) ** 2
     if bound < 2**24:
         return np.float32
     if bound < 2**63:
         return np.int64
-    return object
+    raise ValueError(f"residue products of up to {bound} do not fit in int64")
 
 
 def reduce_residues(a: np.ndarray, q: int) -> np.ndarray:
@@ -181,7 +182,7 @@ def reduce_residues(a: np.ndarray, q: int) -> np.ndarray:
 
     float32 entries are integers below 2^24, so a cast to int32, an integer
     `%` and a cast back are exact, and about ten times cheaper than float32
-    `%`; int64 and object arrays take `%` as they are."""
+    `%`; other dtypes take `%` as they are."""
     if a.dtype == np.float32:
         return (a.astype(np.int32) % q).astype(np.float32)
     return a % q
@@ -190,26 +191,6 @@ def reduce_residues(a: np.ndarray, q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # field specs and elements
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PrimeField:
-    """The base field B = GF(q); q is verified prime at construction."""
-
-    q: int
-
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise ValueError(f"{self.q} is not prime")
-
-    @functools.cached_property
-    def primitive_root(self) -> int:
-        """Smallest generator of GF(q)*, certified against factors of q-1."""
-        checks = [(self.q - 1) // p for p in sorted(set(factorize(self.q - 1)))]
-        for g in range(2, self.q):
-            if all(pow(g, e, self.q) != 1 for e in checks):
-                return g
-        return 1  # q == 2
-
 
 class FieldElement:
     """An element of GF(q^l) as an immutable residue-coefficient vector."""
@@ -302,26 +283,29 @@ class FieldElement:
         return ",".join(map(str, self.coeffs))
 
 
+MAX_Q = 65537  # largest base prime: the searches tabulate range(q)
+MAX_L = 4096  # largest extension degree: a reduction table of at most 134 MB
+
+
 class ExtensionField:
     """F = GF(q^l) with a certified primitive element and trace machinery.
 
-    Construction performs, in order: primality check on q, the int64 bound
-    l (q-1)^2 < 2^63 shared by every residue product (larger q is rejected),
-    deterministic irreducible-modulus search, the trace form
+    Construction performs, in order: the size limits q <= `MAX_Q` and
+    l <= `MAX_L` (checked before anything is allocated; they keep every
+    residue product's sum of l terms below l (q-1)^2 <= 2^44), primality
+    check on q, deterministic irreducible-modulus search, the trace form
     T[i, j] = tr(x^(i+j)) from the modulus by Newton's identities,
     factorization of q^l - 1 by cyclotomic splitting, and certification of
     the primitive element zeta.  Instances are immutable and safe to share.
     """
 
     def __init__(self, q: int, l: int):
-        self.base = PrimeField(q)
+        if q > MAX_Q or l > MAX_L:
+            raise ValueError(f"q = {q}, l = {l} is too large: need q <= {MAX_Q} and l <= {MAX_L}")
+        if not is_prime(q):
+            raise ValueError(f"{q} is not prime")
         if l < 1:
             raise ValueError("extension degree must be >= 1")
-        if l * (q - 1) ** 2 >= 2**63:
-            raise ValueError(
-                f"q = {q} is too large for int64 residue arithmetic at l = {l}: "
-                "need l * (q-1)^2 < 2^63"
-            )
         self.q = q
         self.l = l
         self.modulus = find_irreducible(q, l)
@@ -343,7 +327,7 @@ class ExtensionField:
         p[0] = l % q
         for i in range(1, 2 * l - 1):
             j = min(i - 1, l)
-            acc = int(c[l - j :] @ p[i - j : i])  # at most l * (q-1)^2 < 2^63
+            acc = int(c[l - j :] @ p[i - j : i])  # at most l (q-1)^2 <= 2^44
             if i <= l:
                 acc += i * int(c[l - i])
             p[i] = -acc % q
@@ -417,15 +401,17 @@ class ExtensionField:
         shifted = padded[np.subtract.outer(np.arange(2 * l - 1), np.arange(l)) + l - 1]
         return reduce_residues(shifted[:l] + self._ring.reduction.T.astype(dtype) @ shifted[l:], q)
 
-    def dual_basis(self, basis: Sequence[FieldElement]) -> "DualBasisPair":
-        """Dual basis {mu_j} with tr(basis_i * mu_j) = delta_ij.
+    def dual_basis(self, basis: Sequence[FieldElement]) -> np.ndarray:
+        """Dual basis {mu_j} with tr(basis_i * mu_j) = delta_ij, as the
+        l x l int64 matrix whose row j holds mu_j's coefficients.
 
         Row i of ZT = Z T, with Z the coefficient rows of the basis and T the
         trace form, is the functional a -> tr(basis_i * a), so the coefficient
         rows of the dual basis are the columns of ZT^-1.  Row-reducing
         [ZT | I] with `_rref` gives pivots 0..l-1 exactly when the input is a
-        basis (otherwise this raises), and the right block is then ZT^-1.
-        The Kronecker condition is re-verified exactly before returning.
+        basis (otherwise this raises), and the right block is then ZT^-1,
+        copied out so the l x 2l reduction is not kept alive.  The Kronecker
+        condition is re-verified exactly before returning.
         """
         l = self.l
         if len(basis) != l:
@@ -435,26 +421,10 @@ class ExtensionField:
         R, pivots = _rref(np.concatenate([ZT, np.eye(l, dtype=np.int64)], axis=1), self.q)
         if pivots != tuple(range(l)):
             raise ValueError("basis is rank deficient over the base field")
-        mu = R[:, l:].T
+        mu = R[:, l:].T.copy()
         if not np.array_equal(ZT @ mu.T % self.q, np.eye(l, dtype=np.int64)):
             raise AssertionError("dual basis failed the Kronecker condition")
-        return DualBasisPair(
-            zeta_basis=tuple(basis),
-            mu_basis=tuple(FieldElement(self, row) for row in mu),
-        )
-
-    def element_order(self, a: FieldElement) -> int:
-        """Least e >= 1 with a^e = 1, via the stored factorization of q^l - 1."""
-        self._check(a)
-        if a.is_zero():
-            raise ValueError("the zero element has no multiplicative order")
-        e = self.order
-        for p in sorted(set(self.order_factorization)):
-            while e % p == 0 and (a ** (e // p)) == self.one:
-                e //= p
-        if a**e != self.one:
-            raise AssertionError("element order computation failed")
-        return e
+        return mu
 
     # -- misc ----------------------------------------------------------------
 
@@ -471,14 +441,6 @@ class ExtensionField:
         if not isinstance(a, FieldElement) or (a.field is not self and a.field != self):
             raise ValueError("element does not belong to this field spec")
         return a
-
-
-@dataclass(frozen=True)
-class DualBasisPair:
-    """Two bases of F over B with tr(zeta_i * mu_j) = delta_ij."""
-
-    zeta_basis: tuple[FieldElement, ...]
-    mu_basis: tuple[FieldElement, ...]
 
 
 @functools.lru_cache(maxsize=None)
@@ -626,13 +588,3 @@ def rank_over_base(elems: Sequence[FieldElement]) -> RankProfile:
     rank = len(pivots)
     return RankProfile(rank, pivots, R[:rank].T.copy())
 
-
-def expand_in_dual_basis(traces: Sequence[int], pair: DualBasisPair) -> FieldElement:
-    """Reconstruct a from its trace profile: a = sum_i traces[i] * mu_i."""
-    mu = pair.mu_basis
-    if len(traces) != len(mu):
-        raise ValueError("trace profile length must match the basis size")
-    field = mu[0].field
-    t = np.asarray(traces, dtype=np.int64) % field.q
-    mat = np.stack([m.vec for m in mu])
-    return FieldElement(field, t @ mat % field.q)

@@ -138,7 +138,7 @@ class RepairSession:
 
     Every product and running sum stays below max(u, nbar) l (q-1)^2, so it
     is exact in the dtype `residue_dtype` picks for that bound (float32 below
-    2^24, int64 below 2^63, Python integers beyond), and each is reduced by
+    2^24, int64 below 2^63), and each is reduced by
     `reduce_residues`.  The symbols must belong to the code's field
     (`ValueError` otherwise).  The failed symbol is not read: its row of the
     stack is zero, and it appears only as `expected`.
@@ -166,7 +166,7 @@ class RepairSession:
             tf = field._trace_form.astype(dtype)
             lam_inv = code.weight_inverses[(self.host_rack - 1) * params.u]
             host_map = reduce_residues(-field.mul_matrix(lam_inv, dtype), q)
-            mu = np.stack([m.vec for m in entry.pop("dual").mu_basis])  # the plan replaces it
+            mu = entry.pop("dual")  # the plan replaces it
             expand = reduce_residues(host_map @ mu.T.astype(dtype), q)
             helpers = []  # (rack, basis, payload map P_e)
             blocks = [host_map]  # the decoder, l x (l + b): [nu, payloads...] -> c_f

@@ -10,8 +10,10 @@ helper rack is the first maximal independent subset of its rows in input
 order (`rank_over_base` pivots), the same basis the session sends.
 """
 
+import numpy as np
+
 from rackrepair.constructions import CodeInstance, RepairScheme
-from rackrepair.gf import expand_in_dual_basis, rank_over_base
+from rackrepair.gf import rank_over_base
 from rackrepair.rs import dual_weights
 
 
@@ -51,5 +53,6 @@ def reference_repair(instance: CodeInstance, scheme: RepairScheme, codeword):
         for i, g in enumerate(rows[e - 1]):
             h[i] = (h[i] + field.trace(g * sigma)) % field.q
     nu = rack_sum(host)
-    lam_c = -(expand_in_dual_basis(h, field.dual_basis(rows[host - 1])) + nu)
+    expanded = field.element(np.array(h, dtype=np.int64) @ field.dual_basis(rows[host - 1]) % field.q)
+    lam_c = -(expanded + nu)
     return tuple(messages), lam_c / lam[node - 1]

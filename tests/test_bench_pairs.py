@@ -68,6 +68,27 @@ def test_within_bound():
                                             "change": runs(0.4, 1.0, 40.0)}, better)["ok_frac"]
 
 
+def test_unresolved():
+    # unresolved: the base's own IQR is wider than bound times its median,
+    # unless every change run beats every base run
+    better, bounds = {"setup_s": "lower"}, {"setup_s": 0.25}
+
+    def runs(values):
+        return [{"correct": True, "failed": 0, "metrics": {"setup_s": v}} for v in values]
+
+    def summary(base, change):
+        return summarize({"base": runs(base), "change": runs(change)}, better, bounds)["setup_s"]
+
+    wide = [0.6, 1.0, 1.4, 0.7, 1.3, 1.0, 0.8, 1.2]  # IQR 0.5 > 0.25
+    narrow = [0.98, 1.0, 1.02, 0.99, 1.01, 1.0, 0.97, 1.03]  # IQR 0.03
+    assert summary(wide, narrow)["unresolved"]
+    assert summary(wide, narrow)["within_bound"]
+    assert not summary(narrow, [1.1] * 8)["unresolved"]
+    assert summary(narrow, [1.1] * 8)["within_bound"]
+    dominated = summary(wide, [0.5, 0.55, 0.45, 0.5, 0.52, 0.48, 0.5, 0.5])
+    assert not dominated["unresolved"] and dominated["within_bound"]
+
+
 def test_attempted_medians():
     # each side's median operations per run, to read a metric such as
     # peak_rss_mb that grows with the work a run completes

@@ -193,6 +193,10 @@ INVALID = [
     (["repair", "--mode", "C2", "--nbar", "6", "--primes", "2,2", "--node", "5", "--format", "csv"],
      "--format"),
     (["build", "--mode", "C1", "--rbar", "2", "--out", "."], "--out"),
+    # field sizes are bounded before anything is allocated: l = 2^24, and a
+    # q whose counting-order search would tabulate 10^9 residues
+    (["build", "--rbar", "2", "--nbar", "24"], "l = 16777216"),
+    (["build", "--q", "1000000007", "--u", "2", "--nbar", "3", "--rbar", "2"], "q = 1000000007"),
 ]
 
 

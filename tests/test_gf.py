@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from field_oracle import irreducibles, poly_gcd, poly_mul
 
+from rackrepair.numbertheory import factorize
+
 from rackrepair import gf
 from rackrepair.gf import (
     GF,
     FieldElement,
-    PrimeField,
-    expand_in_dual_basis,
     factor_field_order,
     find_irreducible,
     find_primitive_element,
@@ -74,15 +74,36 @@ def trace_by_frobenius_sum(a):
 # ---------------------------------------------------------------------------
 
 def test_prime_field_rejects_composites():
-    with pytest.raises(ValueError):
-        PrimeField(4)
-    assert PrimeField(3).q == 3
-    assert PrimeField(2).primitive_root == 1
-    assert PrimeField(3).primitive_root == 2
-    assert PrimeField(7).primitive_root == 3
-    # q = 2^31 + 11 is prime, but 2 (q-1)^2 >= 2^63 would overflow int64
+    with pytest.raises(ValueError, match="4 is not prime"):
+        GF(4, 1)
+    assert GF(3, 1).q == 3
+    # q = 2^31 + 11 is prime, but beyond the largest base prime 65537
     with pytest.raises(ValueError, match="q = 2147483659"):
         GF(2147483659, 2)
+
+
+def smallest_generator(q):
+    """Oracle: the least g in [1, q) whose order is q - 1, by modular powers."""
+    checks = [(q - 1) // p for p in set(factorize(q - 1))]
+    return next(g for g in range(1, q) if all(pow(g, e, q) != 1 for e in checks))
+
+
+def test_prime_field_zeta_is_the_smallest_generator():
+    # build takes the generator behind alpha from GF(q, 1).zeta
+    primes = [q for q in range(2, 1200) if all(q % d for d in range(2, int(q**0.5) + 1))]
+    for q in [*primes, 65537]:
+        assert GF(q, 1).zeta.coeffs == (smallest_generator(q),)
+    assert [smallest_generator(q) for q in (2, 3, 7)] == [1, 2, 3]
+
+
+def test_field_size_limits():
+    # refused before the modulus search or the reduction table allocates
+    # anything: l = 2^24 would take a 2 PiB table, and q = 10^9 + 7 a
+    # tuple of q residues in the counting-order search
+    for q, l in ((3, 2**24), (3, gf.MAX_L + 1), (1_000_000_007, 8), (gf.MAX_Q + 2, 1)):
+        with pytest.raises(ValueError, match=f"q = {q}, l = {l} is too large"):
+            GF(q, l)
+    assert gf.MAX_L * (gf.MAX_Q - 1) ** 2 <= 2**44
 
 
 def test_find_irreducible_known_values():
@@ -217,7 +238,8 @@ def test_primitive_element_certified():
 def test_primitive_element_small_cases():
     assert GF(3, 1).zeta == GF(3, 1).scalar(2)  # 2 generates GF(3)*
     f23 = GF(2, 3)
-    assert f23.element_order(f23.monomial(1)) == 7  # order 7 is prime
+    x = f23.monomial(1)
+    assert x != f23.one and x**7 == f23.one  # order 7, as 7 is prime
 
 
 # ---------------------------------------------------------------------------
@@ -334,23 +356,6 @@ def test_pow_unbounded_exponent():
     assert field.zeta**big == field.one
 
 
-def test_element_order():
-    field = GF(3, 2)
-    assert field.element_order(field.one) == 1
-    assert field.element_order(field.scalar(2)) == 2  # -1 has order 2 for odd q
-    assert field.element_order(field.zeta) == field.order
-    with pytest.raises(ValueError):
-        field.element_order(field.zero)
-    for a in all_elements(field):
-        if a.is_zero():
-            continue
-        e = field.element_order(a)
-        assert a**e == field.one
-        for p in set(field.order_factorization):
-            if e % p == 0:
-                assert a ** (e // p) != field.one
-
-
 # ---------------------------------------------------------------------------
 # trace machinery
 # ---------------------------------------------------------------------------
@@ -404,25 +409,38 @@ def test_trace_product_matches_product_trace():
 def test_dual_basis_hand_example():
     field = GF(3, 2)
     x = field.monomial(1)
-    pair = field.dual_basis([field.one, x])
-    assert [m.coeffs for m in pair.mu_basis] == [(2, 0), (0, 1)]  # dual = {2, x}
+    mu = field.dual_basis([field.one, x])
+    assert mu.tolist() == [[2, 0], [0, 1]]  # dual = {2, x}
+    assert field.element(np.array([2, 0]) @ mu % 3) == field.one  # the traces of 1
 
 
 def test_dual_basis_kronecker_and_reconstruction():
     for q, l in ((3, 2), (3, 4), (2, 3), (3, 8), (5, 3), (13, 2)):
         field = GF(q, l)
         basis = [field.zeta**i for i in range(l)]
-        pair = field.dual_basis(basis)
-        for i, zi in enumerate(pair.zeta_basis):
-            for j, mj in enumerate(pair.mu_basis):
+        mu = field.dual_basis(basis)
+        assert mu.shape == (l, l) and mu.dtype == np.int64
+        duals = [field.element(row) for row in mu]
+        for i, zi in enumerate(basis):
+            for j, mj in enumerate(duals):
                 assert field.trace(zi * mj) == (1 if i == j else 0)
         rng = random.Random(l)
         for _ in range(10):
             a = field.random_element(rng)
+            traces = [field.trace(zi * a) for zi in basis]
             rebuilt = field.zero
-            for zi, mi in zip(pair.zeta_basis, pair.mu_basis):
-                rebuilt = rebuilt + field.trace(zi * a) * mi
+            for t, mi in zip(traces, duals):
+                rebuilt = rebuilt + t * mi
             assert rebuilt == a
+            assert field.element(np.array(traces) @ mu % q) == a
+
+
+def test_dual_basis_owns_its_data():
+    # a copy, not a view into the l x 2l matrix the reduction returns, so a
+    # kept dual basis keeps only its own l x l entries alive
+    field = GF(3, 64)
+    mu = field.dual_basis([field.zeta**i for i in range(field.l)])
+    assert mu.base is None and mu.flags.owndata and mu.nbytes == 64 * 64 * 8
 
 
 def test_dual_basis_rejects_rank_deficient():
@@ -435,19 +453,6 @@ def test_dual_basis_rejects_rank_deficient():
     x = field.monomial(1)
     with pytest.raises(ValueError):
         field.dual_basis([field.one, x, 2 * field.one + 3 * x])
-
-
-def test_expand_in_dual_basis():
-    field = GF(3, 2)
-    x = field.monomial(1)
-    pair = field.dual_basis([field.one, x])
-    assert expand_in_dual_basis([0, 0], pair).is_zero()
-    assert expand_in_dual_basis([2, 0], pair) == field.one  # traces of a = 1
-    rng = random.Random(5)
-    for _ in range(20):
-        a = field.random_element(rng)
-        traces = [field.trace(z * a) for z in pair.zeta_basis]
-        assert expand_in_dual_basis(traces, pair) == a
 
 
 # ---------------------------------------------------------------------------
@@ -541,4 +546,4 @@ def test_elements_of_gf_l1():
     two = field.scalar(2)
     assert (two * two).coeffs == (1,)
     assert field.trace(two) == 2
-    assert field.element_order(two) == 2
+    assert two != field.one and two**2 == field.one  # order 2

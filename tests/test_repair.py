@@ -283,7 +283,9 @@ def test_rank_check_reuses_the_last_rack(params):
         assert list(inst.rack_memo) == [fresh.rack]
         entry = inst.rack_memo[fresh.rack]
         assert entry["rank"] == params.l
-        assert entry["dual"].zeta_basis == fresh.rows[fresh.rack - 1]
+        host_rows = np.stack([z.vec for z in fresh.rows[fresh.rack - 1]])
+        pairing = host_rows @ inst.field._trace_form % params.q @ entry["dual"].T % params.q
+        assert np.array_equal(pairing, np.eye(params.l))  # tr(z_i mu_j) = delta_ij
     # a node whose rack has left the memo is checked again when planned,
     # and still equals the reference repair
     node = next(n for n in order if inst.code.rack_of(n)[0] != inst.code.rack_of(order[-1])[0])
@@ -311,11 +313,10 @@ def test_weights_that_do_not_factor_by_rack_are_refused(monkeypatch):
         RepairSession(inst, check.scheme)
 
 
-@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("dtype", [np.int64])
 def test_wide_plan_matches_float32(monkeypatch, dtype):
     # c2 runs in float32; the int64 plan, taken when max(u, nbar) l (q-1)^2
-    # >= 2^24, and the Python-integer plan, taken at >= 2^63, must give the
-    # same transcripts
+    # >= 2^24, must give the same transcripts
     params = c2_params(3, 2, 6, (2, 2))
     rng = random.Random(43)
     inst = build(params)
@@ -345,10 +346,15 @@ def test_residue_dtype_bound():
     assert rs.residue_dtype(2, 2**12, 2**12, 3) == np.int64  # 2^24
     assert rs.residue_dtype(2, 2**12, 3, 2**12) == np.int64
     assert rs.residue_dtype(2, 2**31, 2**32 - 1, 1) == np.int64
-    assert rs.residue_dtype(2, 2**31, 2**32, 1) is object  # 2^63
-    # nbar=3, u=1, l=8 over a q that GF(q, 8) accepts (8 (q-1)^2 < 2^63)
+    with pytest.raises(ValueError, match="int64"):
+        rs.residue_dtype(2, 2**31, 2**32, 1)  # 2^63
+    # nbar=3, u=1, l=8 over a q that the field limits now refuse
     q = 1_000_000_007
-    assert 8 * (q - 1) ** 2 < 2**63 and rs.residue_dtype(q, 8, 1, 3) is object
+    assert 8 * (q - 1) ** 2 < 2**63
+    with pytest.raises(ValueError, match="int64"):
+        rs.residue_dtype(q, 8, 1, 3)
+    # the largest bound a built code can reach: u <= q - 1 <= 2^16, nbar <= 12
+    assert rs.residue_dtype(gf.MAX_Q, gf.MAX_L, gf.MAX_Q - 1, 12) == np.int64
 
 
 def test_symbols_from_another_field_are_rejected():

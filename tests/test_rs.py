@@ -225,7 +225,7 @@ def test_encode_matches_reference(name):
     assert encode([], code) == (code.field.zero,) * code.n
 
 
-@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("dtype", [np.int64])
 def test_encode_wide_dtypes(monkeypatch, dtype):
     monkeypatch.setattr(rs, "residue_dtype", lambda *_: dtype)
     for code in (build(c2_params(3, 2, 6, (2, 2))).code, small_code()):
@@ -276,6 +276,23 @@ def test_dual_weights_take_one_inverse(name, monkeypatch):
     lam = dual_weights.__wrapped__(code)  # past the cache, so the count is this call's
     assert len(calls) == 1
     assert lam == tuple(inverse(p) for p in code.weight_inverses)
+
+
+@pytest.mark.parametrize("name", ["C2", "small_code"])
+def test_dual_weight_spot_check_catches_a_wrong_weight(name, monkeypatch):
+    # one weight off by 1 moves sum_i lambda_i alpha_i^(n-2) by a nonzero
+    # point's power, so the spot-check must fail
+    code = ENCODE_CODES[name]()
+    invert_all = rs._invert_all
+
+    def off_by_one(vals):
+        out = invert_all(vals)
+        out[1] = out[1] + 1
+        return out
+
+    monkeypatch.setattr(rs, "_invert_all", off_by_one)
+    with pytest.raises(AssertionError, match="dual weight spot-check failed"):
+        dual_weights.__wrapped__(code)
 
 
 @pytest.mark.parametrize("name", ["C2", "C2-q13", "small_code"])

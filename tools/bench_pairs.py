@@ -13,7 +13,10 @@ the claim rule holds: the change fails no more operations than the base and
 every change run is correct, it wins at least nine tenths of the pairs, and
 the medians differ by more than the base's interquartile range.  It also
 records whether each metric is within its bound: the change's median is
-worse than the base's by no more than `bound` times the base's median.
+worse than the base's by no more than `bound` times the base's median; and
+whether it is unresolved: the base's own interquartile range is wider than
+that bound, so a shift within it cannot be told from noise, and the change
+does not settle it by beating every base run with every one of its own.
 Directions ("better") and bounds also come from the base's BENCHMARK.json.
 Each workload also records each side's median number of operations
 attempted per run, so a metric that grows with the work a run completes,
@@ -91,7 +94,11 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str],
             and gap > stats["base"]["q3"] - stats["base"]["q1"],
         }
         if bounds and name in bounds:
-            out[name]["within_bound"] = -gap <= bounds[name] * abs(stats["base"]["median"])
+            tolerance = bounds[name] * abs(stats["base"]["median"])
+            dominates = all(sign * (b - c) > 0 for b in values["base"] for c in values["change"])
+            out[name]["within_bound"] = -gap <= tolerance
+            out[name]["unresolved"] = (stats["base"]["q3"] - stats["base"]["q1"] > tolerance
+                                       and not dominates)
     return out
 
 
