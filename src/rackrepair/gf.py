@@ -291,9 +291,9 @@ class ExtensionField:
     """F = GF(q^l) with a certified primitive element and trace machinery.
 
     Construction performs, in order: the size limits q <= `MAX_Q` and
-    l <= `MAX_L` (checked before anything is allocated; they keep every
-    residue product's sum of l terms below l (q-1)^2 <= 2^44), primality
-    check on q, deterministic irreducible-modulus search, the trace form
+    l <= `MAX_L`, checked before anything is allocated (they keep
+    l (q-1)^2, the bound on every field product's sums, at most 2^44),
+    primality check on q, deterministic irreducible-modulus search, the trace form
     T[i, j] = tr(x^(i+j)) from the modulus by Newton's identities,
     factorization of q^l - 1 by cyclotomic splitting, and certification of
     the primitive element zeta.  Instances are immutable and safe to share.

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 from field_oracle import irreducibles, poly_gcd, poly_mul
 
-from rackrepair.numbertheory import factorize
-
 from rackrepair import gf
 from rackrepair.gf import (
     GF,
@@ -17,6 +15,7 @@ from rackrepair.gf import (
     rank_over_base,
     reduce_residues,
 )
+from rackrepair.numbertheory import factorize
 
 
 def all_elements(field):
