@@ -249,7 +249,7 @@ def describe_instance(instance: CodeInstance) -> str:
         f"l={params.l} n={params.n} k={params.k}"
         + (f" kprime={params.kprime}" if params.kprime is not None else ""),
         f"field: modulus={','.join(map(str, fd['modulus']))} zeta={','.join(map(str, fd['zeta']))}",
-        f"alpha: {instance.alpha}",
+        f"alpha: {instance.code.alpha}",
     ]
     for e, exponent in enumerate(instance.radix.weights, 1):
         lines.append(f"rack {e}: zeta_exp={exponent}")

@@ -145,14 +145,13 @@ def cor7_params(q: int, u: int, nbar: int, rbar: int, v: int = 0) -> SchemeParam
 @dataclass(frozen=True, eq=False)
 class CodeInstance:
     """A built code: node j of rack e sits at zeta^exponent(e) * alpha^j,
-    alpha = g^((q-1)/u) of order u in B with g the certified zeta of
-    GF(q, 1), where exponent(e) is `radix.weights[e - 1]`; the points
-    themselves are `code.eval_points`, rack-major."""
+    where exponent(e) is `radix.weights[e - 1]` and alpha = g^((q-1)/u) of
+    order u in B, with g the certified zeta of GF(q, 1).  `code` holds the
+    leaders zeta^exponent(e), alpha and the points, rack-major."""
 
     params: SchemeParams
     field: ExtensionField
     code: CodeSpec
-    alpha: int
     radix: RadixSystem
 
     @functools.cached_property
@@ -197,24 +196,13 @@ def build(params: SchemeParams) -> CodeInstance:
         raise AssertionError("digit system capacity does not match l")
     field = GF(params.q, params.l)
     alpha = pow(GF(params.q, 1).zeta.coeffs[0], (params.q - 1) // params.u, params.q)
-    if pow(alpha, params.u, params.q) != 1 or any(
-        pow(alpha, params.u // p, params.q) == 1 for p in set(factorize(params.u))
-    ):
-        raise AssertionError("alpha does not have order u")
-    points = []
-    for x in radix.weights:
-        zd = field.zeta ** x
-        points += [zd * pow(alpha, j, params.q) for j in range(1, params.u + 1)]
+    code = CodeSpec(field=field, k=params.k, leaders=tuple(field.zeta ** x for x in radix.weights),
+                    alpha=alpha, u=params.u)
     beta = field.zeta ** params.u
-    if any(p ** params.u != beta ** radix.weights[i // params.u] for i, p in enumerate(points)):
+    if any(p ** params.u != beta ** radix.weights[i // params.u]
+           for i, p in enumerate(code.eval_points)):
         raise AssertionError("point^u differs from beta^exponent(e); point table broken")
-    if len(set(points)) != len(points):
-        raise AssertionError("evaluation points collide; construction invariant broken")
-    code = CodeSpec(
-        field=field, n=params.n, k=params.k, eval_points=tuple(points),
-        nbar=params.nbar, u=params.u,
-    )
-    return CodeInstance(params=params, field=field, code=code, alpha=alpha, radix=radix)
+    return CodeInstance(params=params, field=field, code=code, radix=radix)
 
 
 def rack_wy(params: SchemeParams, rack: int) -> tuple[int, int]:

@@ -126,15 +126,16 @@ class RepairSession:
     P_e and one decoder [H | D_e ...], D_e = H mu^T coords_e, with H read
     from the code's stored lambda_f^-1 (no field inverse per node) and mu
     the dual basis that was the rack's rank check.  Rack e's points are
-    gamma_e a^j, a in B, so prod_j (x - gamma_e a^j) = x^u - gamma_e^u and
-    lambda_(e,j) = a^((1-j)(u-1)) lambda_(e,1): `CodeSpec.weight_scalars`
-    is (nbar, u) (`AssertionError` otherwise).  A run forms every sigma_e
-    = M(lambda_(e,1)) (sum_j w_j c_j) by one B-combination and one batched
-    product, then one product per helper rack and one for the decoder.
-    The decoder is linear in H, so a rack's nodes share the plan compiled
-    for its first node, kept in `CodeInstance.rack_memo` (a session whose
-    rack was not checked last runs `verify_rank_condition` first): node j
-    applies w_j^-1 mod q to the decoded vector.
+    gamma_e alpha^j, so lambda_(e,j) = w_j lambda_(e,1) with the B-scalars
+    w_j of `CodeSpec.weight_scalars`, one row for every rack.  A run forms
+    every sigma_e = M(lambda_(e,1)) (sum_j w_j c_j) by one B-combination
+    and one batched product, then one product per helper rack and one for
+    the decoder.  The decoder is linear in H, so a rack's nodes share the
+    plan compiled for its first node, kept in `CodeInstance.rack_memo` (a
+    session whose rack was not checked last runs `verify_rank_condition`
+    first): node j applies w_j^-1 mod q to the decoded vector.  A session
+    is refused unless both the scheme and the memo's own rank check say
+    rank l.
 
     Every product and running sum stays below max(u, nbar) l (q-1)^2, so it
     is exact in the dtype `residue_dtype` picks for that bound (float32 below
@@ -145,22 +146,20 @@ class RepairSession:
     """
 
     def __init__(self, instance: CodeInstance, scheme: RepairScheme):
-        if not scheme.rank_verified:
-            raise ValueError("refusing to repair: rank condition not verified for this scheme")
         self.instance = instance
         self.scheme = scheme
         params, field, code = instance.params, instance.field, instance.code
         q, node = field.q, scheme.node
         self.host_rack, failed_j = code.rack_of(node)
-        self.weights = code.weight_matrices
-        dtype = self.weights.dtype
-        if code.weight_scalars.shape != (params.nbar, params.u):
-            raise AssertionError("dual weights are not B-multiples of one weight per rack")
-        self.scalars = code.weight_scalars[:, :, None]
-
         if self.host_rack not in instance.rack_memo:
             verify_rank_condition(instance, node)
         entry = instance.rack_memo[self.host_rack]
+        if not (scheme.rank_verified and entry["rank"] == params.l):
+            raise ValueError("refusing to repair: rank condition not verified for this scheme")
+        self.weights = code.weight_matrices
+        dtype = self.weights.dtype
+        self.scalars = code.weight_scalars[:, None]
+
         if "plan" not in entry:  # compile the rack's plan for its first node
             rows = entry["scheme"].rows
             tf = field._trace_form.astype(dtype)
@@ -181,7 +180,7 @@ class RepairSession:
                 blocks.append(reduce_residues(expand @ profile.coords.astype(dtype), q))
             entry["plan"] = tuple(helpers), np.concatenate(blocks, axis=1)
         self.helpers, self.decoder = entry["plan"]
-        self.w_inv = pow(int(self.scalars[self.host_rack - 1, failed_j - 1, 0]), -1, q)
+        self.w_inv = pow(int(code.weight_scalars[failed_j - 1]), -1, q)
         self.b = self.decoder.shape[1] - params.l
         self.host_nodes = tuple(code.node_index(self.host_rack, m)
                                 for m in range(1, params.u + 1) if m != failed_j)

@@ -1,7 +1,8 @@
 """Reed-Solomon codewords, the dual-code weight vector, and erasure
 decoding as an independent MDS oracle.
-Encode and the dual weights are stored as residue matrices over B, one per
-rack (see `_rack_scalars`).
+Every code puts each rack on one coset of the order-u subgroup of GF(q)*,
+so encode and the dual weights are stored as one residue matrix over B per
+rack and one row of B-scalars that every rack shares.
 
 Codeword symbols are stored rack-major: node (e, m) sits at flat position
 (e-1)*u + m, positions 1-based.
@@ -22,61 +23,80 @@ from .gf import ExtensionField, FieldElement, reduce_residues, residue_dtype
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """An RS(A, k) instance over GF(q^l) with a rack layout of nbar racks
-    of u nodes each."""
+    """An RS(A, k) instance over GF(q^l) on nbar = len(leaders) racks of u
+    nodes each: node j of rack e sits at gamma_e alpha^j (j = 1..u), gamma_e
+    the rack's leader and alpha in B = GF(q) of order exactly u.  Rack e's
+    points are then the coset gamma_e <alpha>, the roots of x^u - gamma_e^u."""
 
     field: ExtensionField
-    n: int
     k: int
-    eval_points: tuple[FieldElement, ...]
-    nbar: int
+    leaders: tuple[FieldElement, ...]
+    alpha: int
     u: int
 
     def __post_init__(self):
-        if self.n != len(self.eval_points):
-            raise ValueError("n does not match the number of evaluation points")
-        if self.n != self.nbar * self.u:
-            raise ValueError("n must equal nbar * u")
+        q, a, u = self.field.q, self.alpha, self.u
+        powers = [pow(a, d, q) for d in range(1, u + 1)]
+        if not 0 < a < q or powers[-1:] != [1] or 1 in powers[:-1]:
+            raise ValueError(f"alpha = {a} does not have order u = {u} in GF({q})")
+        for gamma in self.leaders:
+            self.field._check(gamma)  # raises ValueError for a leader of another field
         if not self.u <= self.k < self.n:
             raise ValueError("need u <= k < n")
         if len(set(self.eval_points)) != self.n:
             raise ValueError("evaluation points must be pairwise distinct")
 
     @property
+    def nbar(self) -> int:
+        return len(self.leaders)
+
+    @property
+    def n(self) -> int:
+        return self.nbar * self.u
+
+    @property
     def r(self) -> int:
         return self.n - self.k
 
     @functools.cached_property
-    def point_powers(self) -> np.ndarray:
-        """The (k, G, g) table S[m] = s^m of the points' B-scalars s (see
-        `_rack_scalars`), in the code's `residue_dtype`: encode's per-node
-        factors f_m s^m.  Built once per code, on first use."""
+    def eval_points(self) -> tuple[FieldElement, ...]:
+        """gamma_e alpha^j for j = 1..u, rack-major."""
         q = self.field.q
-        s = _rack_scalars(self.eval_points, self.u, q)
-        out = np.empty((self.k, *s.shape), dtype=np.int64)
-        out[0] = 1
-        for m in range(1, self.k):
-            out[m] = out[m - 1] * s % q
-        return out.astype(self._dtype)
+        return tuple(gamma * pow(self.alpha, j, q)
+                     for gamma in self.leaders for j in range(1, self.u + 1))
+
+    @functools.cached_property
+    def point_powers(self) -> np.ndarray:
+        """The (k, u) table alpha^(jm) (row m, column j - 1), in the code's
+        `residue_dtype`: encode's factors f_m alpha^(jm) for node j of every
+        rack.  Built once per code, on first use."""
+        q = self.field.q
+        return np.array([[pow(self.alpha, j * m, q) for j in range(1, self.u + 1)]
+                         for m in range(self.k)], dtype=self._dtype)
 
     @functools.cached_property
     def point_matrices(self) -> np.ndarray:
-        """The (G, l, l) stack of M(gamma), gamma the first point of each
-        group, in the code's `residue_dtype`."""
-        return self._group_matrices(self.eval_points, self.point_powers.shape[2])
+        """The (nbar, l, l) stack of M(gamma_e), in the code's `residue_dtype`."""
+        return self._rack_matrices(self.leaders)
 
     @functools.cached_property
     def weight_scalars(self) -> np.ndarray:
-        """The (G, g) B-scalars w of the dual weights, lambda_(i g + j) =
-        w[i, j] lambda_(i g), in the code's `residue_dtype`."""
-        return _rack_scalars(dual_weights(self), self.u, self.field.q).astype(self._dtype)
+        """The (u,) B-scalars w_j = alpha^((1-j)(u-1)) = alpha^(j-1) that
+        every rack shares, lambda_(e,j) = w_j lambda_(e,1), in the code's
+        `residue_dtype`.  Rack e's points are the roots of x^u - gamma_e^u,
+        so the factor of lambda_(e,j)^-1 inside the rack is
+        u (gamma_e alpha^j)^(u-1) and the rest does not depend on j;
+        `dual_weights` checks the identity on every node."""
+        q = self.field.q
+        return np.array([pow(self.alpha, j - 1, q) for j in range(1, self.u + 1)],
+                        dtype=self._dtype)
 
     @functools.cached_property
     def weight_matrices(self) -> np.ndarray:
-        """The (G, l, l) stack of M(lambda), lambda the first dual weight of
-        each group, in the code's `residue_dtype`: with `weight_scalars`, node
-        i g + j maps c to lambda_(i g + j) c = M(lambda_(i g)) (w[i, j] c)."""
-        return self._group_matrices(dual_weights(self), self.weight_scalars.shape[1])
+        """The (nbar, l, l) stack of M(lambda_(e,1)), in the code's
+        `residue_dtype`: with `weight_scalars`, node (e, j) maps c to
+        lambda_(e,j) c = M(lambda_(e,1)) (w_j c)."""
+        return self._rack_matrices(dual_weights(self)[::self.u])
 
     @functools.cached_property
     def weight_inverses(self) -> tuple[FieldElement, ...]:
@@ -95,13 +115,8 @@ class CodeSpec:
     def _dtype(self):
         return residue_dtype(self.field.q, self.field.l, self.u, self.nbar)
 
-    def _group_matrices(self, elems: Sequence[FieldElement], g: int) -> np.ndarray:
-        field = self.field
-        leaders = elems[::g]
-        out = np.empty((len(leaders), field.l, field.l), dtype=self._dtype)
-        for i, a in enumerate(leaders):
-            out[i] = field.mul_matrix(a, out.dtype)
-        return out
+    def _rack_matrices(self, elems: Sequence[FieldElement]) -> np.ndarray:
+        return np.stack([self.field.mul_matrix(a, self._dtype) for a in elems])
 
     def node_index(self, e: int, m: int) -> int:
         """Flat 1-based index of the m-th node in rack e."""
@@ -114,29 +129,6 @@ class CodeSpec:
         if not 1 <= node <= self.n:
             raise ValueError(f"node {node} outside [1, {self.n}]")
         return (node - 1) // self.u + 1, (node - 1) % self.u + 1
-
-
-def _rack_scalars(elems: Sequence[FieldElement], u: int, q: int) -> np.ndarray:
-    """The (G, g) B-scalars that group a rack-major family of elements.
-
-    Every code `build` makes puts rack e's points on one coset,
-    alpha_(e,j) = gamma_e a^j with a in B, and its dual weights are then
-    B-multiples of one element too.  When each rack's elements are
-    B-multiples of the rack's first, each rack is one group (G = nbar,
-    g = u) and row e holds the multiples; otherwise every element is its own
-    group (G = n, g = 1, all ones).  A multiple is read off the lowest
-    nonzero coefficient of the rack's first element and checked against the
-    whole vector, so no field inverse is needed."""
-    vecs = np.stack([e.vec for e in elems]).reshape(-1, u, elems[0].field.l)
-    first = vecs[:, 0]
-    lowest = (first != 0).argmax(axis=1)
-    pivot = first[np.arange(len(first)), lowest]
-    if pivot.all():
-        inv = np.array([pow(int(p), -1, q) for p in pivot], dtype=np.int64)
-        scalars = vecs[np.arange(len(first)), :, lowest] * inv[:, None] % q
-        if np.array_equal(scalars[:, :, None] * first[:, None, :] % q, vecs):
-            return scalars
-    return np.ones((len(elems), 1), dtype=np.int64)
 
 
 def poly_eval(coeffs: Sequence[FieldElement], x: FieldElement) -> FieldElement:
@@ -152,19 +144,20 @@ def encode(message: Sequence[FieldElement], code: CodeSpec) -> tuple[FieldElemen
     degree <= k - 1 (coefficients lowest-degree first, all in the code's
     field: anything else raises `ValueError`).
 
-    Node j of a group with first point gamma sits at gamma s_j, s_j in B, so
-    f(gamma s_j) = sum_m (f_m s_j^m) gamma^m, and one Horner step per
-    coefficient serves every node: acc = M(gamma) acc + f_m s^m, reduced
-    mod q, over the (G, l, g) residues of all groups at once.  Every entry
-    stays below (l + 1)(q-1)^2, inside the code's `residue_dtype`."""
+    Node j of rack e sits at gamma_e alpha^j, so
+    f(gamma_e alpha^j) = sum_m (f_m alpha^(jm)) gamma_e^m, and one Horner
+    step per coefficient serves every node: acc = M(gamma_e) acc + f_m
+    alpha^(jm), reduced mod q, over the (nbar, l, u) residues of all racks at
+    once.  Every entry stays below (l + 1)(q-1)^2, inside the code's
+    `residue_dtype`."""
     if len(message) > code.k:
         raise ValueError(f"message degree exceeds k - 1 = {code.k - 1}")
     field = code.field
     mats, powers = code.point_matrices, code.point_powers
     coeffs = np.array([field._check(c).vec for c in message], dtype=mats.dtype)
-    acc = np.zeros((mats.shape[0], field.l, powers.shape[2]), dtype=mats.dtype)
+    acc = np.zeros((code.nbar, field.l, code.u), dtype=mats.dtype)
     for m in range(len(message) - 1, -1, -1):
-        acc = reduce_residues(mats @ acc + coeffs[m][:, None] * powers[m][:, None, :], field.q)
+        acc = reduce_residues(mats @ acc + coeffs[m][:, None] * powers[m], field.q)
     vecs = acc.transpose(0, 2, 1).reshape(code.n, field.l).astype(np.int64)
     return tuple(FieldElement(field, v) for v in vecs)
 
@@ -188,9 +181,11 @@ def dual_weights(code: CodeSpec) -> tuple[FieldElement, ...]:
     codewords of the code: the inverses of `CodeSpec.weight_inverses`, all
     from one field inverse (`_invert_all`).
 
-    A deterministic spot-check verifies the duality before returning: the
+    Two deterministic checks verify them before returning.  The
     highest-degree pair x^(k-1) x^(n-k-1) = x^(n-2) must have
-    sum_i lambda_i alpha_i^(n-2) = 0.
+    sum_i lambda_i alpha_i^(n-2) = 0, and every weight must be its rack's
+    first times its B-scalar, lambda_(e,j) = w_j lambda_(e,1)
+    (`CodeSpec.weight_scalars`).
     """
     out = tuple(_invert_all(code.weight_inverses))
     ip = code.field.zero
@@ -198,6 +193,10 @@ def dual_weights(code: CodeSpec) -> tuple[FieldElement, ...]:
         ip = ip + lam * a ** (code.n - 2)
     if not ip.is_zero():
         raise AssertionError("dual weight spot-check failed")
+    vecs = np.stack([lam.vec for lam in out]).reshape(code.nbar, code.u, code.field.l)
+    scaled = code.weight_scalars.astype(np.int64)[:, None] * vecs[:, :1] % code.field.q
+    if not np.array_equal(scaled, vecs):
+        raise AssertionError("dual weights are not w_j times their rack's first weight")
     return out
 
 

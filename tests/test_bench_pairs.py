@@ -1,5 +1,7 @@
 import json
 import sys
+
+import pytest
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -127,3 +129,43 @@ def test_failed_run_keeps_finished_pairs(tmp_path, capsys):
     assert entry["summary"]["setup_s"]["base"]["median"] == 0.1
     assert entry["failed_run"] == {"side": "change", "pair": 1, "seed": 2, "returncode": 3,
                                    "stderr_tail": "setting up\nboom: the run broke"}
+
+
+
+MALFORMED_RUN = """import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed == 2:
+    print({stdout})
+    sys.exit(0)
+print(json.dumps({{"env": {{}}}}))
+print(json.dumps({{"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {{"setup_s": {{"value": 0.1 * seed}}}}}}))
+"""
+
+
+def _stub_checkout(path, script):
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(script)
+    (path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25}]}))
+    return path
+
+
+@pytest.mark.parametrize("stdout,tail", [('"{}\\nTraceback: not JSON"', "{}\nTraceback: not JSON"),
+                                         ('end=""', "")], ids=["last-line", "empty"])
+def test_malformed_output_keeps_finished_pairs(tmp_path, capsys, stdout, tail):
+    # the change's run exits 0 at seed 2 with a last stdout line that is not
+    # JSON, or with no stdout at all: like a non-zero exit, the file keeps
+    # the pair of seed 1 and names the run with the tail of its stdout
+    base = _stub_checkout(tmp_path / "base", MALFORMED_RUN.format(stdout='""'))
+    change = _stub_checkout(tmp_path / "change", MALFORMED_RUN.format(stdout=stdout))
+    out = tmp_path / "BENCH.json"
+    assert main(["--base", str(base), "--change", str(change), "--workload", "w",
+                 "--seeds", "1,2,3", "--out", str(out)]) == 1
+    assert ("change run failed: workload w, seed 2, exit code 0, malformed output; "
+            f"its stdout ends:\n{tail}") in capsys.readouterr().err
+    entry = json.loads(out.read_text())["workloads"]["w"]
+    assert [[r["seed"] for r in entry["runs"][side]] for side in ("base", "change")] == [[1], [1]]
+    assert entry["summary"]["setup_s"]["change"]["median"] == 0.1
+    assert entry["failed_run"] == {"side": "change", "pair": 1, "seed": 2, "returncode": 0,
+                                   "stdout_tail": tail}

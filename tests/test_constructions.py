@@ -63,7 +63,7 @@ def test_params_validation_errors():
 
 def test_build_c1_small():
     inst = build(c1_params(3, 2, 3, 2))
-    assert inst.alpha == 2  # 2^((3-1)/2) with the smallest primitive root
+    assert inst.code.alpha == 2  # 2^((3-1)/2) with the smallest primitive root
     assert inst.radix.weights == (1, 2, 4)
     flat = inst.code.eval_points
     assert len(set(flat)) == 6
@@ -98,7 +98,7 @@ def test_build_cor7():
 def test_build_homogeneous():
     inst = build(homogeneous_params(3, 3, 2))
     assert inst.params.u == 1 and inst.params.n == 3
-    assert inst.alpha == 1  # order u = 1
+    assert inst.code.alpha == 1  # order u = 1
     assert len(set(inst.code.eval_points)) == 3
 
 

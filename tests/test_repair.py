@@ -18,7 +18,7 @@ from rackrepair.constructions import (
 )
 from rackrepair.gf import GF, ExtensionField, rank_over_base
 from rackrepair.repair import RepairError, RepairSession, audit, bounds
-from rackrepair import gf, rs
+from rackrepair import constructions, gf, rs
 from rackrepair.rs import encode
 
 
@@ -231,14 +231,14 @@ def test_one_plan_per_rack(params, monkeypatch):
     assert "plan" in inst.rack_memo[params.nbar] and "dual" not in inst.rack_memo[params.nbar]
     q, u = params.q, params.u
     w = inst.code.weight_scalars.astype(np.int64)
-    assert w.shape == (params.nbar, u) and (w != 1).any()
+    assert w.shape == (u,) and (w != 1).any()
     for node, session in enumerate(sessions, 1):
         first = sessions[(node - 1) // u * u]
         assert session.decoder is first.decoder
         assert len(session.helpers) == len(first.helpers) == params.nbar - 1
         for (e, basis, pmap), (e1, basis1, pmap1) in zip(session.helpers, first.helpers):
             assert e == e1 and basis is basis1 and pmap is pmap1
-        assert session.w_inv == pow(int(w[(node - 1) // u, (node - 1) % u]), -1, q)
+        assert session.w_inv == pow(int(w[(node - 1) % u]), -1, q)
 
 
 @pytest.mark.parametrize("params,rrefs", [
@@ -296,21 +296,6 @@ def test_rank_check_reuses_the_last_rack(params):
     messages, recovered = reference_repair(inst, checks[node].scheme, word)
     assert tuple((m.rack, m.payload) for m in transcript.messages) == messages
     assert transcript.recovered == recovered == word[node - 1]
-
-
-def test_weights_that_do_not_factor_by_rack_are_refused(monkeypatch):
-    # a plan is per rack, so a code whose dual weights are not B-multiples
-    # of one weight per rack (the all-ones fallback of `_rack_scalars`,
-    # every node its own group) has no plan: the session refuses it
-    monkeypatch.setattr(rs, "_rack_scalars",
-                        lambda elems, u, q: np.ones((len(elems), 1), dtype=np.int64))
-    params = c2_params(3, 2, 6, (2, 2))
-    inst = build(params)
-    assert inst.code.weight_scalars.shape == (params.n, 1)
-    check = verify_rank_condition(inst, 3)
-    assert check.ok
-    with pytest.raises(AssertionError, match="not B-multiples"):
-        RepairSession(inst, check.scheme)
 
 
 @pytest.mark.parametrize("dtype", [np.int64])
@@ -387,6 +372,26 @@ def test_repair_requires_verified_scheme():
     scheme = repair_family(inst, 1)  # not verified
     with pytest.raises(ValueError):
         RepairSession(inst, scheme)
+
+
+def test_repair_reads_the_memo_rank_not_the_scheme_flag(monkeypatch):
+    # a repeated element gives the host row of rack 1 rank 7; a scheme that
+    # its caller marks verified is still refused, from the memo's own rank
+    family = constructions.repair_family
+
+    def repeated(instance, node):
+        scheme = family(instance, node)
+        rows = list(scheme.rows)
+        host = rows[scheme.rack - 1]
+        rows[scheme.rack - 1] = (host[0], host[0]) + host[2:]
+        return replace(scheme, rows=tuple(rows))
+
+    monkeypatch.setattr(constructions, "repair_family", repeated)
+    inst = build(c1_params(3, 2, 3, 2))
+    check = verify_rank_condition(inst, 1)
+    assert not check.ok and check.rank == 7
+    with pytest.raises(ValueError, match="rank condition not verified"):
+        RepairSession(inst, replace(check.scheme, rank_verified=True))
 
 
 def test_payload_count_equals_rank_sum():

@@ -18,10 +18,18 @@ from rackrepair.rs import (
 )
 
 
-def small_code(q=3, l=4, n=6, k=2, nbar=3, u=2, spread=1):
-    field = GF(q, l)
-    points = tuple(field.zeta ** (spread * i) for i in range(1, n + 1))
-    return CodeSpec(field=field, n=n, k=k, eval_points=points, nbar=nbar, u=u)
+def small_code():
+    # three racks of two nodes over GF(3^4): rack e is +-zeta^e (alpha = -1)
+    field = GF(3, 4)
+    return CodeSpec(field=field, k=2, leaders=tuple(field.zeta**e for e in range(1, 4)),
+                    alpha=2, u=2)
+
+
+def u1_code():
+    # u = 1 on the points zeta^i: every node its own rack, no coset structure
+    field = GF(3, 4)
+    return CodeSpec(field=field, k=2, leaders=tuple(field.zeta**i for i in range(1, 7)),
+                    alpha=1, u=1)
 
 
 def random_message(code, rng):
@@ -29,16 +37,25 @@ def random_message(code, rng):
 
 
 def test_codespec_validation():
+    # GF(9): zeta has order 8 and -1 = zeta^4, so the racks +-zeta, +-zeta^2
+    # are four distinct points
     field = GF(3, 2)
-    pts = tuple(field.zeta**i for i in range(1, 5))
-    with pytest.raises(ValueError):
-        CodeSpec(field, 4, 2, pts, nbar=3, u=2)  # n != nbar * u
-    with pytest.raises(ValueError):
-        CodeSpec(field, 4, 1, pts, nbar=2, u=2)  # k < u
-    with pytest.raises(ValueError):
-        CodeSpec(field, 4, 4, pts, nbar=2, u=2)  # k = n
-    with pytest.raises(ValueError):
-        CodeSpec(field, 4, 2, (pts[0],) * 4, nbar=2, u=2)  # repeated points
+    lead = (field.zeta, field.zeta**2)
+    code = CodeSpec(field, 2, lead, alpha=2, u=2)
+    assert (code.n, code.nbar, code.r) == (4, 2, 2)
+    assert code.eval_points == (field.zeta**5, field.zeta, field.zeta**6, field.zeta**2)
+    for alpha, u in ((1, 2), (2, 1), (0, 1), (3, 1), (4, 2)):  # order != u, or not in B*
+        with pytest.raises(ValueError, match="order"):
+            CodeSpec(field, 2, lead, alpha=alpha, u=u)
+    with pytest.raises(ValueError, match="order"):
+        CodeSpec(GF(5, 2), 2, (GF(5, 2).zeta,) * 2, alpha=2, u=2)  # 2 has order 4 mod 5
+    with pytest.raises(ValueError, match="does not belong"):
+        CodeSpec(field, 2, (field.zeta, GF(5, 2).zeta), alpha=2, u=2)  # leader of another field
+    with pytest.raises(ValueError, match="distinct"):
+        CodeSpec(field, 2, (field.zeta, field.zeta**5), alpha=2, u=2)  # -zeta = zeta^5
+    for k in (1, 4):  # k < u, k = n
+        with pytest.raises(ValueError, match="u <= k < n"):
+            CodeSpec(field, k, lead, alpha=2, u=2)
 
 
 def test_node_indexing():
@@ -71,8 +88,7 @@ def test_encode_degree_overflow():
 def test_dual_weights_hand_example():
     # A = {1, 2} over GF(3): lambda_1 = (1-2)^-1 = 2, lambda_2 = (2-1)^-1 = 1
     field = GF(3, 1)
-    code = CodeSpec(field=field, n=2, k=1, eval_points=(field.scalar(1), field.scalar(2)),
-                    nbar=2, u=1)
+    code = CodeSpec(field=field, k=1, leaders=(field.scalar(1), field.scalar(2)), alpha=1, u=1)
     lam = dual_weights(code)
     assert [w.coeffs for w in lam] == [(2,), (1,)]
 
@@ -124,8 +140,7 @@ def test_erasure_decode_trivials():
     assert all(c.is_zero() for c in erasure_decode(zeros, code))
 
     field = GF(3, 2)
-    pts = tuple(field.zeta**i for i in range(1, 5))
-    code1 = CodeSpec(field, 4, 1, pts, nbar=4, u=1)
+    code1 = CodeSpec(field, 1, tuple(field.zeta**i for i in range(1, 5)), alpha=1, u=1)
     c = field.scalar(2)
     assert erasure_decode([(3, c)], code1) == (c,)
 
@@ -205,7 +220,8 @@ ENCODE_CODES = {
     "C1-q5": lambda: build(c1_params(5, 4, 3, 2, v=2)).code,
     "C2-q13": lambda: build(c2_params(13, 3, 6, (2, 2))).code,
     "C1-l128": lambda: build(c1_params(3, 2, 7, 2)).code,
-    "small_code": small_code,  # points zeta^i: one node per group
+    "small_code": small_code,
+    "u1": u1_code,  # points zeta^i: encode and decode need no coset structure
 }
 
 
@@ -249,23 +265,23 @@ def test_build_codes_store_one_matrix_per_rack():
         field, q, l = code.field, code.field.q, code.field.l
         lam = dual_weights(code)
         assert code.point_matrices.shape == code.weight_matrices.shape == (code.nbar, l, l)
-        assert code.point_powers.shape == (code.k, code.nbar, code.u)
-        assert code.weight_scalars.shape == (code.nbar, code.u)
+        assert code.point_powers.shape == (code.k, code.u)
+        assert code.weight_scalars.shape == (code.u,)
         for node in range(1, code.n + 1):
             e, j = code.rack_of(node)
-            s = pow(inst.alpha, j - 1, q)
-            assert code.point_powers[:, e - 1, j - 1].tolist() == [s**m % q for m in range(code.k)]
-            w = int(code.weight_scalars[e - 1, j - 1])
-            assert w == pow(inst.alpha, (1 - j) * (code.u - 1), q)
-            assert code.eval_points[node - 1] == s * code.eval_points[(e - 1) * code.u]
+            gamma = code.leaders[e - 1]
+            assert gamma == field.zeta ** inst.radix.weights[e - 1]
+            assert np.array_equal(field.mul_matrix(gamma), code.point_matrices[e - 1])
+            s = pow(code.alpha, j, q)
+            assert code.point_powers[:, j - 1].tolist() == [s**m % q for m in range(code.k)]
+            w = int(code.weight_scalars[j - 1])
+            assert w == pow(code.alpha, (1 - j) * (code.u - 1), q)
+            assert code.eval_points[node - 1] == s * gamma
             assert np.array_equal(field.mul_matrix(lam[node - 1]),
                                   w * code.weight_matrices[e - 1].astype(np.int64) % q)
-    code = small_code()  # zeta^i and zeta^(i+1) differ by zeta, not by a scalar of B
-    assert code.point_matrices.shape == code.weight_matrices.shape == (code.n, 4, 4)
-    assert (code.point_powers == 1).all() and (code.weight_scalars == 1).all()
 
 
-@pytest.mark.parametrize("name", ["C2", "C2-q13", "small_code"])
+@pytest.mark.parametrize("name", ["C2", "C2-q13", "small_code", "u1"])
 def test_dual_weights_take_one_inverse(name, monkeypatch):
     # Montgomery's trick: the n weights equal their own inverses, from one
     # field inverse for the whole code (the spot-check passes inside)
@@ -278,7 +294,7 @@ def test_dual_weights_take_one_inverse(name, monkeypatch):
     assert lam == tuple(inverse(p) for p in code.weight_inverses)
 
 
-@pytest.mark.parametrize("name", ["C2", "small_code"])
+@pytest.mark.parametrize("name", ["C2", "small_code", "u1"])
 def test_dual_weight_spot_check_catches_a_wrong_weight(name, monkeypatch):
     # one weight off by 1 moves sum_i lambda_i alpha_i^(n-2) by a nonzero
     # point's power, so the spot-check must fail
@@ -296,6 +312,18 @@ def test_dual_weight_spot_check_catches_a_wrong_weight(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["C2", "C2-q13", "small_code"])
+def test_dual_weight_rack_check_catches_a_wrong_scalar(name):
+    # lambda_(e,j) = w_j lambda_(e,1) is checked on every node, so one
+    # wrong B-scalar in the row every rack shares makes dual_weights fail
+    code = ENCODE_CODES[name]()
+    w = code.weight_scalars.copy()
+    w[-1] = (w[-1] + 1) % code.field.q
+    code.__dict__["weight_scalars"] = w  # this code object only
+    with pytest.raises(AssertionError, match="not w_j times"):
+        dual_weights.__wrapped__(code)
+
+
+@pytest.mark.parametrize("name", ["C2", "C2-q13", "small_code", "u1"])
 def test_erasure_decode_takes_one_inverse(name, monkeypatch):
     # the k Lagrange denominators are inverted together, like the dual weights
     code = ENCODE_CODES[name]()
@@ -310,7 +338,7 @@ def test_erasure_decode_takes_one_inverse(name, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("name", ["C2", "C2-q13", "small_code"])
+@pytest.mark.parametrize("name", ["C2", "C2-q13", "small_code", "u1"])
 def test_invert_all_matches_single_inverses(name):
     vals = ENCODE_CODES[name]().weight_inverses
     for part in (vals[:1], vals):

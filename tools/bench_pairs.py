@@ -23,9 +23,11 @@ attempted per run, so a metric that grows with the work a run completes,
 such as `peak_rss_mb`, can be read against it.
 `--workload` may be given more than once.
 
-A run that exits non-zero stops the whole comparison: the file is written
+A run that exits non-zero, or exits 0 with a first or last stdout line that
+is not the expected JSON, stops the whole comparison: the file is written
 with the pairs finished so far and the failed run (side, seed, exit code
-and the tail of its stderr), the same is printed, and the exit status is 1.
+and the tail of its stderr, or of its stdout when the output is malformed),
+the same is printed, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -39,11 +41,18 @@ from pathlib import Path
 
 
 class RunFailed(RuntimeError):
-    """A benchmark run exited non-zero; carries its exit code and stderr tail."""
+    """A benchmark run exited non-zero or printed malformed output; carries
+    its exit code and the tail of the stream that shows why ("stderr" or
+    "stdout")."""
 
-    def __init__(self, returncode: int, stderr_tail: str):
-        super().__init__(f"exit code {returncode}")
-        self.returncode, self.stderr_tail = returncode, stderr_tail
+    def __init__(self, returncode: int, stream: str, tail: str):
+        malformed = ", malformed output" if stream == "stdout" else ""
+        super().__init__(f"exit code {returncode}{malformed}")
+        self.returncode, self.stream, self.tail = returncode, stream, tail
+
+
+def _tail(text: str) -> str:
+    return "\n".join(text.splitlines()[-20:])
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -51,12 +60,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     got = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if got.returncode != 0:
-        raise RunFailed(got.returncode, "\n".join(got.stderr.splitlines()[-20:]))
+        raise RunFailed(got.returncode, "stderr", _tail(got.stderr))
     lines = got.stdout.splitlines()
-    head, result = json.loads(lines[0]), json.loads(lines[-1])
-    return {"seed": seed, "env": head["env"], "correct": result["correct"],
-            "attempted": result["attempted"], "failed": result["failed"],
-            "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+    try:
+        head, result = json.loads(lines[0]), json.loads(lines[-1])
+        return {"seed": seed, "env": head["env"], "correct": result["correct"],
+                "attempted": result["attempted"], "failed": result["failed"],
+                "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+    except (ValueError, IndexError, KeyError, TypeError, AttributeError):  # malformed output
+        raise RunFailed(got.returncode, "stdout", _tail(got.stdout)) from None
 
 
 def git_sha(checkout: Path) -> str:
@@ -138,12 +150,12 @@ def main(argv=None) -> int:
                 except RunFailed as exc:  # keep the finished pairs, drop this one
                     finished = {s: [r for r in rs if r["pair"] < i] for s, rs in runs.items()}
                     failed = {"side": side, "pair": i, "seed": seed,
-                              "returncode": exc.returncode, "stderr_tail": exc.stderr_tail}
+                              "returncode": exc.returncode, f"{exc.stream}_tail": exc.tail}
                     doc["workloads"][workload] = record(finished, better, bounds) | {
                         "failed_run": failed}
                     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-                    print(f"{side} run failed: workload {workload}, seed {seed}, exit code "
-                          f"{exc.returncode}; its stderr ends:\n{exc.stderr_tail}",
+                    print(f"{side} run failed: workload {workload}, seed {seed}, {exc}; "
+                          f"its {exc.stream} ends:\n{exc.tail}",
                           file=sys.stderr, flush=True)
                     return 1
                 runs[side].append(run | {"pair": i, "first": side == order[0]})
