@@ -67,7 +67,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"seed": seed, "env": head["env"], "correct": result["correct"],
                 "attempted": result["attempted"], "failed": result["failed"],
                 "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
-    except (ValueError, IndexError, KeyError, TypeError, AttributeError):  # malformed output
+    except (ValueError, IndexError, KeyError, TypeError):  # not the JSON lines run.py prints
         raise RunFailed(got.returncode, "stdout", _tail(got.stdout)) from None
 
 
