@@ -30,7 +30,6 @@ from .constructions import (
     homogeneous_params,
     verify_rank_condition,
 )
-from .gf import rank_over_base
 from .repair import BoundSet, RepairError, RepairSession, RepairTranscript, audit, bounds
 from .rs import encode
 
@@ -119,19 +118,15 @@ def rows_for_instance(
     rows = []
     for node in range(1, params.n + 1):
         check = verify_rank_condition(instance, node)
-        scheme = check.scheme
         bset = bounds(params, node)
+        repair_ok = "false"
         if check.ok:
-            session = RepairSession(instance, scheme)
-            b = session.b
+            session = RepairSession(instance, check.scheme)
             runs = sum(1 for _ in audited_repairs(session, trials, rng))
             repair_ok = "true" if runs else "skipped"
-        else:
-            repair_ok = "false"
-            b = sum(rank_over_base(r).rank for e, r in enumerate(scheme.rows, 1) if e != scheme.rack)
         rows.append(ReportRow(
-            params=params, rack=scheme.rack, node=node, b=b, bounds=bset,
-            ratio=Fraction(b) / bset.b_min, repair_ok=repair_ok, rank_ok=check.ok,
+            params=params, rack=check.scheme.rack, node=node, b=check.b, bounds=bset,
+            ratio=Fraction(check.b) / bset.b_min, repair_ok=repair_ok, rank_ok=check.ok,
         ))
     return rows
 

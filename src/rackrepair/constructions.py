@@ -20,13 +20,16 @@ is verified, never assumed.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass, replace
 from math import prod
 
-from .gf import GF, ExtensionField, FieldElement, rank_over_base
+import numpy as np
+
+from .gf import GF, ExtensionField, FieldElement, check_field_size, rank_over_base, reduce_residues
 from .numbertheory import factorize, is_prime
-from .radix import RadixSystem, index_set
+from .radix import RadixSystem, index_set, multi_base_radices, window
 from .rs import CodeSpec
 
 MODES = ("C1", "C2", "C2-remainder", "Cor7", "homogeneous")
@@ -71,6 +74,14 @@ def _validate_common(q: int, u: int, nbar: int, rbar: int, v: int):
     return kbar, k
 
 
+def _check_windows(primes: tuple[int, ...], nbar: int):
+    """Refuse a multi-base layout in which some rack's digit window has no
+    index set (`radix.window`'s rule), before any field is built."""
+    radices = multi_base_radices(primes, nbar)
+    for e in range(1, nbar + 1):
+        window(radices, e, len(primes))
+
+
 def c1_params(q: int, u: int, nbar: int, rbar: int, v: int = 0, *, mode: str = "C1") -> SchemeParams:
     """Parameters for the basic construction (l = rbar^nbar)."""
     if rbar < 2:
@@ -104,6 +115,7 @@ def c2_params(q: int, u: int, nbar: int, primes, v: int = 0) -> SchemeParams:
     if nprime < 2:
         raise ValueError("need floor(nbar / m) >= 2")
     kbar, k = _validate_common(q, u, nbar, rbar, v)
+    _check_windows(primes, nbar)
     l = rbar**nprime * prod(primes[:h])
     return SchemeParams(
         mode="C2" if h == 0 else "C2-remainder", q=q, u=u, nbar=nbar, rbar=rbar,
@@ -129,6 +141,7 @@ def cor7_params(q: int, u: int, nbar: int, rbar: int, v: int = 0) -> SchemeParam
     nprime, h = divmod(nbar, m)
     if nprime < 2:
         raise ValueError("need floor(nbar / m) >= 2 for the rbar - 1 system")
+    _check_windows(primes, nbar)
     l = (rbar - 1) ** nprime * prod(primes[:h])
     kprime = (nbar - (rbar - 1)) * u + v
     return SchemeParams(
@@ -168,7 +181,7 @@ class CodeInstance:
 
     @functools.cached_property
     def rack_memo(self) -> dict:
-        """The rack `verify_rank_condition` checked last: scheme, rank, then dual basis or plan."""
+        """The rack `verify_rank_condition` checked last, with its `RankCheck`."""
         return {}
 
 
@@ -191,6 +204,7 @@ def build(params: SchemeParams) -> CodeInstance:
     """
     if params.mode not in MODES:
         raise ValueError(f"unknown mode {params.mode!r}")
+    check_field_size(params.q, params.l)
     radix = digit_system(params)
     if radix.capacity != params.l:
         raise AssertionError("digit system capacity does not match l")
@@ -226,7 +240,6 @@ class RepairScheme:
     index_set: tuple[int, ...]
     descriptors: tuple[tuple[int, int], ...]
     rows: tuple[tuple[FieldElement, ...], ...]
-    rank_verified: bool = False
 
 
 def repair_family(instance: CodeInstance, node: int) -> RepairScheme:
@@ -254,26 +267,38 @@ def repair_family(instance: CodeInstance, node: int) -> RepairScheme:
 
 @dataclass(frozen=True)
 class RankCheck:
+    """A rack's rank check and the repair plan it compiles: (rack, basis,
+    payload map P_e) per helper rack, `b` the sum of their ranks, and the
+    decoder of the rack's first node (None below rank l); the plan's algebra
+    is `repair.RepairSession`'s.  Equality compares `ok`, `rank` and
+    `scheme` only."""
+
     ok: bool
     rank: int
     scheme: RepairScheme
+    helpers: tuple[tuple[int, tuple, np.ndarray], ...] = dataclasses.field(compare=False, repr=False)
+    decoder: np.ndarray | None = dataclasses.field(compare=False, repr=False)
+    b: int = dataclasses.field(compare=False)
 
 
 def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
-    """Check that the failed node's family has rank_B = l at its own rack.
+    """Check that the failed node's family has rank_B = l at its own rack,
+    and compile the rack's repair plan in the same pass.
 
     Whenever h = 0, also asserts that the sorted host exponents
     t + s * exponent(host) are exactly scale * [0, l-1], where scale is the
     radix weight of position y on the last block and 1 elsewhere (1 in the
     basic modes, where the evaluated set is {(zeta^u)^a : a in [0, l-1]}).
     The rank is l exactly when the host row of `repair_family` has a dual
-    basis, so that is the check (`rank_over_base` only reports a failed
-    rank); no point is evaluated here.  Both checks depend on the node only
-    through its rack, so `CodeInstance.rack_memo` keeps the rack checked
-    last, with the dual basis `repair.RepairSession` plans from.
+    basis mu, so that is the check (`rank_over_base` only reports a failed
+    rank); no point is evaluated here.  Each helper rack's row is reduced
+    once, for its basis and P_e, and at rank l mu gives the decoder; mu is
+    not kept.  All of it depends on the node only through its rack, so
+    `CodeInstance.rack_memo` keeps the check of the rack checked last, and
+    every node of that rack shares its `helpers` and `decoder`.
     """
-    params = instance.params
-    host, _ = instance.code.rack_of(node)
+    params, field, code = instance.params, instance.field, instance.code
+    host, _ = code.rack_of(node)
     memo = instance.rack_memo
     if host not in memo:
         memo.clear()
@@ -285,10 +310,27 @@ def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
             if sums != [scale * a for a in range(params.l)]:
                 raise AssertionError("coset decomposition of the host exponents failed")
         try:
-            dual, rank = instance.field.dual_basis(scheme.rows[host - 1]), params.l
+            mu, rank = field.dual_basis(scheme.rows[host - 1]), params.l
         except ValueError:  # rank deficient: reduce once more to report the rank
-            dual, rank = None, rank_over_base(scheme.rows[host - 1]).rank
-        memo[host] = {"scheme": scheme, "rank": rank, "dual": dual}
-    scheme, rank = memo[host]["scheme"], memo[host]["rank"]
-    ok = rank == params.l
-    return RankCheck(ok=ok, rank=rank, scheme=replace(scheme, node=node, rank_verified=ok))
+            mu, rank = None, rank_over_base(scheme.rows[host - 1]).rank
+        q, dtype = params.q, code.weight_matrices.dtype
+        tf = field._trace_form.astype(dtype)
+        helpers, coords = [], []
+        for e, values in enumerate(scheme.rows, 1):
+            if e != host:
+                profile = rank_over_base(values)
+                basis = tuple(values[p] for p in profile.pivots)
+                basis_mat = np.stack([z.vec for z in basis]).astype(dtype)
+                helpers.append((e, basis, reduce_residues(basis_mat @ tf, q)))
+                coords.append(profile.coords.astype(dtype))
+        decoder = None
+        if mu is not None:
+            lam_inv = code.weight_inverses[(host - 1) * params.u]
+            host_map = reduce_residues(-field.mul_matrix(lam_inv, dtype), q)
+            expand = reduce_residues(host_map @ mu.T.astype(dtype), q)
+            decoder = np.concatenate(
+                [host_map] + [reduce_residues(expand @ c, q) for c in coords], axis=1)
+        memo[host] = RankCheck(ok=rank == params.l, rank=rank, scheme=scheme, helpers=tuple(helpers),
+                               decoder=decoder, b=sum(len(basis) for _, basis, _ in helpers))
+    check = memo[host]
+    return replace(check, scheme=replace(check.scheme, node=node))

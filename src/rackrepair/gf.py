@@ -287,6 +287,17 @@ MAX_Q = 65537  # largest base prime: the searches tabulate range(q)
 MAX_L = 4096  # largest extension degree: a reduction table of at most 134 MB
 
 
+def check_field_size(q: int, l: int):
+    """Raise `ValueError` unless q <= `MAX_Q` and l <= `MAX_L`.  A value too
+    long to print in full is shown as its power-of-two floor."""
+    def shown(name, x):
+        return f"{name} = {x}" if x.bit_length() <= 64 else f"{name} >= 2^{x.bit_length() - 1}"
+
+    if q > MAX_Q or l > MAX_L:
+        raise ValueError(f"{shown('q', q)}, {shown('l', l)} is too large: "
+                         f"need q <= {MAX_Q} and l <= {MAX_L}")
+
+
 class ExtensionField:
     """F = GF(q^l) with a certified primitive element and trace machinery.
 
@@ -300,8 +311,7 @@ class ExtensionField:
     """
 
     def __init__(self, q: int, l: int):
-        if q > MAX_Q or l > MAX_L:
-            raise ValueError(f"q = {q}, l = {l} is too large: need q <= {MAX_Q} and l <= {MAX_L}")
+        check_field_size(q, l)
         if not is_prime(q):
             raise ValueError(f"{q} is not prime")
         if l < 1:

@@ -39,14 +39,11 @@ class RadixSystem:
 
     @classmethod
     def multi_base(cls, primes, nbar: int) -> "RadixSystem":
-        """Radix list for the multi-base expansion over nbar positions:
-        (p_1..p_m) repeated floor(nbar/m) times, then (p_1..p_h)."""
+        """The multi-base expansion over nbar positions (`multi_base_radices`)."""
         primes = tuple(int(p) for p in primes)
         if any(not is_prime(p) for p in primes):
             raise ValueError("multi-base radices must all be prime")
-        m = len(primes)
-        nprime, h = divmod(nbar, m)
-        return cls(primes * nprime + primes[:h])
+        return cls(multi_base_radices(primes, nbar))
 
     def encode(self, a: int) -> tuple[int, ...]:
         """Unique digits of a, position 1 first, extracted greedily position
@@ -68,29 +65,41 @@ class RadixSystem:
         return sum(t * w for t, w in zip(digits, self.weights))
 
 
-def index_set(radix: RadixSystem, start: int, width: int) -> tuple[int, ...]:
-    """All t in [0, capacity) whose `width` consecutive digits are zero,
-    starting at the 1-based position `start` and wrapping past the last one.
+def multi_base_radices(primes: tuple[int, ...], nbar: int) -> tuple[int, ...]:
+    """(p_1..p_m) repeated floor(nbar/m) times, then (p_1..p_h)."""
+    nprime, h = divmod(nbar, len(primes))
+    return primes * nprime + primes[:h]
+
+
+def window(radices, start: int, width: int) -> tuple[int, ...]:
+    """The 0-based positions of `width` consecutive digits, starting at the
+    1-based position `start` and wrapping past the last one.
 
     The basic construction's rack i uses the window (i, 1) of the rbar-ary
     system; the multi-base rack at flat position w*m + y uses (w*m + y, m).
     The radices under the window must multiply to the first `width` radices'
-    product (one full period), so that the set has exactly capacity/period
-    entries; other windows are rejected.
+    product (one full period), so that its index set has exactly
+    capacity/period entries; other windows are rejected.
     """
-    count = len(radix.radices)
+    count = len(radices)
     if not 1 <= start <= count or not 1 <= width <= count:
         raise ValueError(f"window (start={start}, width={width}) outside [1, {count}]")
-    window = [(start - 1 + k) % count for k in range(width)]
-    period = prod(radix.radices[:width])
-    if prod(radix.radices[p] for p in window) != period:
+    positions = tuple((start - 1 + k) % count for k in range(width))
+    if prod(radices[p] for p in positions) != prod(radices[:width]):
         raise ValueError(
             "digit window does not cover one full radix period; "
             "this remainder layout has no size-l/rbar index set"
         )
+    return positions
+
+
+def index_set(radix: RadixSystem, start: int, width: int) -> tuple[int, ...]:
+    """All t in [0, capacity) whose digits under `window(radix.radices,
+    start, width)` are all zero."""
+    positions = window(radix.radices, start, width)
     out = tuple(
         t for t in range(radix.capacity)
-        if all(t // radix.weights[p] % radix.radices[p] == 0 for p in window)
+        if all(t // radix.weights[p] % radix.radices[p] == 0 for p in positions)
     )
-    assert len(out) * period == radix.capacity
+    assert len(out) * prod(radix.radices[:width]) == radix.capacity
     return out

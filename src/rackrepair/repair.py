@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constructions import CodeInstance, RepairScheme, SchemeParams, rack_wy, verify_rank_condition
-from .gf import FieldElement, rank_over_base, reduce_residues
+from .gf import FieldElement, reduce_residues
 
 
 class RepairError(RuntimeError):
@@ -112,8 +112,8 @@ def bounds(params: SchemeParams, node: int) -> BoundSet:
 
 
 class RepairSession:
-    """Per-node repair: its rack's plan and its B-scalar, compiled into
-    residue matrices over B and run on any number of codewords.
+    """Per-node repair: its rack's plan, as `verify_rank_condition` compiles
+    it, and its B-scalar, run on any number of codewords.
 
     Let g_i(e) be row i of rack e's rows, z_i = g_i(host), mu_i the dual
     basis of the z_i, sigma_e the sum of lam_j c_j over rack e and nu that
@@ -121,21 +121,17 @@ class RepairSession:
     payload_e = P_e @ sigma_e, the traces against the first maximal
     independent subset of its rows (P_e = basis rows @ T); their traces
     against all rows are h = sum_e coords_e @ payload_e.  The parity check
-    gives tr(z_i lam_f c_f) = -(h_i + tr(z_i nu)), so
-    c_f = H (expand(h) + nu) with host map H = -M(lam_f^-1).  The plan is
-    P_e and one decoder [H | D_e ...], D_e = H mu^T coords_e, with H read
-    from the code's stored lambda_f^-1 (no field inverse per node) and mu
-    the dual basis that was the rack's rank check.  Rack e's points are
-    gamma_e alpha^j, so lambda_(e,j) = w_j lambda_(e,1) with the B-scalars
-    w_j of `CodeSpec.weight_scalars`, one row for every rack.  A run forms
-    every sigma_e = M(lambda_(e,1)) (sum_j w_j c_j) by one B-combination
-    and one batched product, then one product per helper rack and one for
-    the decoder.  The decoder is linear in H, so a rack's nodes share the
-    plan compiled for its first node, kept in `CodeInstance.rack_memo` (a
-    session whose rack was not checked last runs `verify_rank_condition`
-    first): node j applies w_j^-1 mod q to the decoded vector.  A session
-    is refused unless both the scheme and the memo's own rank check say
-    rank l.
+    gives tr(z_i lam_f c_f) = -(h_i + tr(z_i nu)), so c_f = H (expand(h) + nu)
+    with host map H = -M(lam_f^-1), read from the code's stored lambda_f^-1.
+    The decoder is [H | D_e ...], D_e = H mu^T coords_e, for the rack's
+    first node.  Rack e's points are gamma_e alpha^j, so
+    lambda_(e,j) = w_j lambda_(e,1) with the B-scalars w_j of
+    `CodeSpec.weight_scalars`, one row for every rack: node j applies
+    w_j^-1 mod q to the decoded vector.  A run forms every
+    sigma_e = M(lambda_(e,1)) (sum_j w_j c_j) by one B-combination and one
+    batched product, then one product per helper rack and one for the
+    decoder.  The session checks its node's rack itself (a memo hit when
+    that rack was checked last) and is refused unless the rank is l.
 
     Every product and running sum stays below max(u, nbar) l (q-1)^2, so it
     is exact in the dtype `residue_dtype` picks for that bound (float32 below
@@ -148,40 +144,16 @@ class RepairSession:
     def __init__(self, instance: CodeInstance, scheme: RepairScheme):
         self.instance = instance
         self.scheme = scheme
-        params, field, code = instance.params, instance.field, instance.code
-        q, node = field.q, scheme.node
+        params, code = instance.params, instance.code
+        node = scheme.node
         self.host_rack, failed_j = code.rack_of(node)
-        if self.host_rack not in instance.rack_memo:
-            verify_rank_condition(instance, node)
-        entry = instance.rack_memo[self.host_rack]
-        if not (scheme.rank_verified and entry["rank"] == params.l):
+        check = verify_rank_condition(instance, node)
+        if not check.ok:
             raise ValueError("refusing to repair: rank condition not verified for this scheme")
+        self.helpers, self.decoder, self.b = check.helpers, check.decoder, check.b
         self.weights = code.weight_matrices
-        dtype = self.weights.dtype
         self.scalars = code.weight_scalars[:, None]
-
-        if "plan" not in entry:  # compile the rack's plan for its first node
-            rows = entry["scheme"].rows
-            tf = field._trace_form.astype(dtype)
-            lam_inv = code.weight_inverses[(self.host_rack - 1) * params.u]
-            host_map = reduce_residues(-field.mul_matrix(lam_inv, dtype), q)
-            mu = entry.pop("dual")  # the plan replaces it
-            expand = reduce_residues(host_map @ mu.T.astype(dtype), q)
-            helpers = []  # (rack, basis, payload map P_e)
-            blocks = [host_map]  # the decoder, l x (l + b): [nu, payloads...] -> c_f
-            for e in range(1, params.nbar + 1):
-                if e == self.host_rack:
-                    continue
-                values = rows[e - 1]
-                profile = rank_over_base(values)
-                basis = tuple(values[p] for p in profile.pivots)
-                basis_mat = np.stack([b.vec for b in basis]).astype(dtype)
-                helpers.append((e, basis, reduce_residues(basis_mat @ tf, q)))
-                blocks.append(reduce_residues(expand @ profile.coords.astype(dtype), q))
-            entry["plan"] = tuple(helpers), np.concatenate(blocks, axis=1)
-        self.helpers, self.decoder = entry["plan"]
-        self.w_inv = pow(int(code.weight_scalars[failed_j - 1]), -1, q)
-        self.b = self.decoder.shape[1] - params.l
+        self.w_inv = pow(int(code.weight_scalars[failed_j - 1]), -1, params.q)
         self.host_nodes = tuple(code.node_index(self.host_rack, m)
                                 for m in range(1, params.u + 1) if m != failed_j)
         bset = bounds(params, node)

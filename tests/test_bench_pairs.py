@@ -9,8 +9,8 @@ from bench_pairs import attempted_medians, main, summarize  # noqa: E402
 
 
 def _runs(values):
-    return [{"correct": True, "failed": 0, "metrics": {"repair_p50_ms": v, "ok_frac": 1.0}}
-            for v in values]
+    return [{"correct": True, "attempted": 1000, "failed": 0,
+             "metrics": {"repair_p50_ms": v, "ok_frac": 1.0}} for v in values]
 
 
 def _claim(base, change, better):
@@ -31,13 +31,20 @@ def test_summarize_wins_and_claim_rule():
     assert (ok["change_wins"], ok["change_losses"]) == (0, 0)  # ties count for neither
     assert not ok["claim_rule_holds"]
 
-    # a gain does not count when the change fails more operations or a run
-    # is not correct
+    # a gain does not count when the change fails a larger share of the
+    # operations it attempts or a run is not correct
     failing = _runs(change)
     failing[3]["failed"] = 1
     assert not _claim(_runs(base), failing, better)
     base_failing = _runs(base)
     base_failing[0]["failed"] = 1
+    assert _claim(base_failing, failing, better)
+    # the same failure count over a tenth of the attempts is a larger share
+    for run in failing:
+        run["attempted"] = 100
+    assert not _claim(base_failing, failing, better)
+    for run in base_failing:
+        run["attempted"] = 100
     assert _claim(base_failing, failing, better)
     wrong = _runs(change)
     wrong[5]["correct"] = False
@@ -55,7 +62,7 @@ def test_within_bound():
     bounds = {"repair_p50_ms": 0.25, "ok_frac": 0.01, "peak_rss_mb": 0.05}
 
     def runs(p50, ok, rss):
-        return [{"correct": True, "failed": 0,
+        return [{"correct": True, "attempted": 1000, "failed": 0,
                  "metrics": {"repair_p50_ms": p50, "ok_frac": ok, "peak_rss_mb": rss}}] * 3
 
     out = summarize({"base": runs(0.40, 1.0, 40.0), "change": runs(0.49, 0.985, 42.1)},
@@ -76,7 +83,8 @@ def test_unresolved():
     better, bounds = {"setup_s": "lower"}, {"setup_s": 0.25}
 
     def runs(values):
-        return [{"correct": True, "failed": 0, "metrics": {"setup_s": v}} for v in values]
+        return [{"correct": True, "attempted": 1000, "failed": 0, "metrics": {"setup_s": v}}
+                for v in values]
 
     def summary(base, change):
         return summarize({"base": runs(base), "change": runs(change)}, better, bounds)["setup_s"]

@@ -197,6 +197,10 @@ INVALID = [
     # q whose counting-order search would tabulate 10^9 residues
     (["build", "--rbar", "2", "--nbar", "24"], "l = 16777216"),
     (["build", "--q", "1000000007", "--u", "2", "--nbar", "3", "--rbar", "2"], "q = 1000000007"),
+    # an l too long to print is refused by its size, before the radix system
+    (["build", "--rbar", "2", "--nbar", "16000"], "l >= 2^16000"),
+    # rack 7's digit window (radices 2, 2) is not one period of (2, 3)
+    (["build", "--mode", "C2", "--primes", "2,3", "--nbar", "7", "--u", "1"], "digit window"),
 ]
 
 
@@ -217,6 +221,7 @@ def test_main_invalid_parameters_no_traceback(argv, names, capsys):
     ["sweep", "--rbar", "2", "--trials", "-1"],
     ["sweep", "--rbar", "2", "--out", "missing_dir/x"],
     ["sweep", "--rbar", "2", "--out", "."],
+    ["sweep", "--mode", "C2", "--primes", "2,3", "--nbar", "7", "--u", "1"],
 ])
 def test_main_rejects_before_field_work(argv, monkeypatch):
     def no_build(params):
@@ -306,20 +311,16 @@ def test_rank_failure_row(monkeypatch, capsys):
     # a node whose rank check fails is reported with the rank-sum b of its
     # helper racks, counted as an audit failure, and makes sweep exit 1;
     # `repair` at that node exits 1 with one line on stderr and no output
-    from rackrepair.constructions import (
-        RankCheck,
-        build,
-        c1_params,
-        repair_family,
-        verify_rank_condition,
-    )
-    from rackrepair.repair import RepairSession
+    from family_oracle import FamilyEvaluator
+
+    from rackrepair.constructions import build, c1_params, repair_family, verify_rank_condition
+    from rackrepair.gf import rank_over_base
 
     def failing_at_node_3(instance, node):
         check = verify_rank_condition(instance, node)
         if node != 3:
             return check
-        return RankCheck(ok=False, rank=check.rank - 1, scheme=repair_family(instance, node))
+        return replace(check, ok=False, rank=check.rank - 1)
 
     monkeypatch.setattr("rackrepair.cli.verify_rank_condition", failing_at_node_3)
     rows = run_sweep(c1_config())
@@ -327,7 +328,8 @@ def test_rank_failure_row(monkeypatch, capsys):
     assert bad.node == 3 and bad.repair_ok == "false" and not bad.rank_ok
     assert all(r.repair_ok == "true" and r.rank_ok for r in rows if r.node != 3)
     inst = build(c1_params(3, 2, 3, 2))
-    assert bad.b == RepairSession(inst, verify_rank_condition(inst, 3).scheme).b
+    family = FamilyEvaluator(inst, repair_family(inst, 3))
+    assert bad.b == sum(rank_over_base(family.at(e)).rank for e in (1, 3))
     assert summarize(rows)["audit_failures"] == 1
     assert main(["sweep", "--mode", "C1", "--nbar", "3", "--rbar", "2"]) == 1
     assert "false,false" in capsys.readouterr().out

@@ -165,7 +165,6 @@ def test_rank_condition_c1_all_nodes():
     for node in range(1, 7):
         check = verify_rank_condition(inst, node)
         assert check.ok and check.rank == 8
-        assert check.scheme.rank_verified
 
 
 def test_rank_condition_c2_all_nodes():

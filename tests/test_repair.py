@@ -212,9 +212,9 @@ def test_run_matches_reference_repair(params):
                          ids=["c2", "q13"])
 def test_one_plan_per_rack(params, monkeypatch):
     # planning every node in order takes one dual basis per rack, in its
-    # rank check, and none in the sessions; the plan replaces it in the
-    # memo, the rack's nodes share the plan's payload maps and decoder, and
-    # each applies its own B-scalar w_j^-1
+    # rank check, and none in the sessions; the memo keeps the last rack's
+    # check, the rack's nodes share its payload maps and decoder, and each
+    # applies its own B-scalar w_j^-1
     inst = build(params)
     calls = []
     dual_basis = ExtensionField.dual_basis
@@ -228,7 +228,8 @@ def test_one_plan_per_rack(params, monkeypatch):
                 for node in range(1, params.n + 1)]
     assert calls == [params.l] * params.nbar and params.nbar == 6
     assert list(inst.rack_memo) == [params.nbar]  # only the rack checked last is kept
-    assert "plan" in inst.rack_memo[params.nbar] and "dual" not in inst.rack_memo[params.nbar]
+    last = inst.rack_memo[params.nbar]
+    assert last.ok and last.decoder is sessions[-1].decoder and last.helpers is sessions[-1].helpers
     q, u = params.q, params.u
     w = inst.code.weight_scalars.astype(np.int64)
     assert w.shape == (u,) and (w != 1).any()
@@ -269,8 +270,8 @@ def test_all_node_setup_rref_calls(params, rrefs, monkeypatch):
                                     c2_params(3, 2, 5, (2, 2))], ids=["c2", "Cor7", "C2-remainder"])
 def test_rank_check_reuses_the_last_rack(params):
     # in any node order, each check equals a fresh family of its own node
-    # with its rank verified; the memo holds only the rack checked last,
-    # with the host row's dual basis
+    # with rank l; the memo holds only the rack checked last, whose check
+    # every node of the rack shares, with b the sum of its helper ranks
     inst = build(params)
     order = list(range(1, params.n + 1)) * 2
     random.Random(71).shuffle(order)
@@ -279,13 +280,15 @@ def test_rank_check_reuses_the_last_rack(params):
         checks[node] = check = verify_rank_condition(inst, node)
         fresh = repair_family(inst, node)
         assert check.ok and check.rank == params.l
-        assert check.scheme == replace(fresh, rank_verified=True)
+        assert check.scheme == fresh
         assert list(inst.rack_memo) == [fresh.rack]
         entry = inst.rack_memo[fresh.rack]
-        assert entry["rank"] == params.l
-        host_rows = np.stack([z.vec for z in fresh.rows[fresh.rack - 1]])
-        pairing = host_rows @ inst.field._trace_form % params.q @ entry["dual"].T % params.q
-        assert np.array_equal(pairing, np.eye(params.l))  # tr(z_i mu_j) = delta_ij
+        assert entry.ok and entry.rank == params.l and entry.scheme.rack == fresh.rack
+        assert entry.decoder is check.decoder and entry.helpers is check.helpers
+        ev = FamilyEvaluator(inst, fresh)
+        assert check.b == sum(rank_over_base(ev.at(e)).rank
+                              for e in range(1, params.nbar + 1) if e != fresh.rack)
+        assert check.decoder.shape == (params.l, params.l + check.b)
     # a node whose rack has left the memo is checked again when planned,
     # and still equals the reference repair
     node = next(n for n in order if inst.code.rack_of(n)[0] != inst.code.rack_of(order[-1])[0])
@@ -368,15 +371,22 @@ def test_failed_symbol_is_not_read():
 
 
 def test_repair_requires_verified_scheme():
+    # a scheme that was never checked is verified by the session itself
     inst = build(c1_params(3, 2, 3, 2))
-    scheme = repair_family(inst, 1)  # not verified
-    with pytest.raises(ValueError):
-        RepairSession(inst, scheme)
+    scheme = repair_family(inst, 1)
+    assert not inst.rack_memo
+    session = RepairSession(inst, scheme)
+    assert list(inst.rack_memo) == [1] and inst.rack_memo[1].ok
+    word = random_codeword(inst, random.Random(29))
+    transcript, _ = session.run(word)
+    messages, recovered = reference_repair(inst, scheme, word)
+    assert tuple((m.rack, m.payload) for m in transcript.messages) == messages
+    assert transcript.recovered == recovered == word[0]
 
 
 def test_repair_reads_the_memo_rank_not_the_scheme_flag(monkeypatch):
-    # a repeated element gives the host row of rack 1 rank 7; a scheme that
-    # its caller marks verified is still refused, from the memo's own rank
+    # a repeated element gives the host row of rack 1 rank 7; the session
+    # refuses that check's own scheme, from the memo's rank
     family = constructions.repair_family
 
     def repeated(instance, node):
@@ -391,7 +401,7 @@ def test_repair_reads_the_memo_rank_not_the_scheme_flag(monkeypatch):
     check = verify_rank_condition(inst, 1)
     assert not check.ok and check.rank == 7
     with pytest.raises(ValueError, match="rank condition not verified"):
-        RepairSession(inst, replace(check.scheme, rank_verified=True))
+        RepairSession(inst, check.scheme)
 
 
 def test_payload_count_equals_rank_sum():

@@ -9,8 +9,9 @@ run length `run_seconds` of the base checkout's BENCHMARK.json; which side
 runs first alternates from pair to pair.  The file records every run's
 end-to-end metrics, each side's median and quartiles per metric, how many
 pairs the change won per metric (ties count for neither side), and whether
-the claim rule holds: the change fails no more operations than the base and
-every change run is correct, it wins at least nine tenths of the pairs, and
+the claim rule holds: the change fails no larger a share of the operations
+it attempts than the base (failed over attempted, summed over each side's
+runs) and every change run is correct, it wins at least nine tenths of the pairs, and
 the medians differ by more than the base's interquartile range.  It also
 records whether each metric is within its bound: the change's median is
 worse than the base's by no more than `bound` times the base's median; and
@@ -86,7 +87,11 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str],
     out = {}
     pairs = len(runs["base"])
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
-    sound = failed["change"] <= failed["base"] and all(r["correct"] for r in runs["change"])
+    attempted = {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()}
+    # failed / attempted per side, compared by cross-multiplying (exact, and
+    # a side that attempted nothing failed nothing)
+    sound = (failed["change"] * attempted["base"] <= failed["base"] * attempted["change"]
+             and all(r["correct"] for r in runs["change"]))
     for name, direction in better.items():
         values = {side: [r["metrics"][name] for r in rs if name in r["metrics"]]
                   for side, rs in runs.items()}
