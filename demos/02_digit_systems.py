@@ -4,9 +4,11 @@
 # weights shrink the sub-packetization.
 
 from rackrepair import RadixSystem, index_set
+from rackrepair.radix import multi_base_radices
 
-# the rbar-ary system behind the basic construction: rbar=2, nbar=3 -> l=8
-binary = RadixSystem.uniform(2, 3)
+# the rbar-ary system behind the basic construction is the one-base
+# expansion of (rbar,): rbar=2, nbar=3 -> l=8
+binary = RadixSystem(multi_base_radices((2,), 3))
 for t in range(8):
     print(f"t={t} digits={binary.encode(t)}")  # position 1 first
 print("decode((1, 0, 1)) =", binary.decode((1, 0, 1)))
@@ -16,7 +18,7 @@ print("T_2 =", index_set(binary, 2, 1))  # {t : t_2 = 0}
 
 # the multi-base system: rbar = 4 = 2*2 over nbar = 6 racks needs only
 # l = 4^3 = 64 instead of 4^6 = 4096
-mb = RadixSystem.multi_base((2, 2), 6)
+mb = RadixSystem(multi_base_radices((2, 2), 6))
 print("multi-base radices:", mb.radices, "capacity:", mb.capacity)
 
 # rack (w, y) sits at flat position w*m + y and carries that position's weight

@@ -376,6 +376,8 @@ def main(argv=None) -> int:
             if config.nbar < first:
                 raise ValueError(f"nbar-sweep needs --nbar >= rbar + 1 = {first}, got {config.nbar}")
             nbars = range(first, config.nbar + 1)
+        for nbar in nbars:  # refuse the whole range before the first field is built
+            params_from_config(replace(config, nbar=nbar))
         runs = [(nbar, run_sweep(replace(config, nbar=nbar))) for nbar in nbars]
         rows = [row for _, run in runs for row in run]
         trend = [(nbar, max(r.ratio for r in run)) for nbar, run in runs]

@@ -11,7 +11,8 @@ Four flavors share one engine:
 * homogeneous: the u = 1 degeneration of the basic construction.
 
 The basic rbar-ary expansion is the one-base (m = 1) multi-base expansion,
-so one rule picks every family: rack e's index set is the t in [0, l) whose
+so one rule lays out every instance from its block of bases, and one rule
+picks every family: rack e's index set is the t in [0, l) whose
 m consecutive digits of the instance's radix system vanish, starting at
 position e and wrapping past the last position.  Every generated family is a
 set of monomials g_(t,s)(x) = zeta^(ut) x^(us); the rank-l repair condition
@@ -37,14 +38,17 @@ MODES = ("C1", "C2", "C2-remainder", "Cor7", "homogeneous")
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Validated integer parameters of one construction instance."""
+    """Validated integer parameters of one construction instance.  The
+    digit system is the multi-base expansion of `bases` over nbar positions:
+    (rbar,) in the basic modes, the primes of rbar in C2, those of rbar - 1
+    in Cor7."""
 
     mode: str
     q: int
     u: int
     nbar: int
     rbar: int
-    primes: tuple[int, ...] | None
+    bases: tuple[int, ...]
     v: int
     # derived
     rbar_eff: int
@@ -52,53 +56,56 @@ class SchemeParams:
     h: int
     nprime: int
     l: int
-    kbar: int
     k: int
     n: int
     kprime: int | None
 
 
-def _validate_common(q: int, u: int, nbar: int, rbar: int, v: int):
+def _scheme(mode: str, q: int, u: int, nbar: int, rbar: int, bases: tuple[int, ...],
+            v: int) -> SchemeParams:
+    """The one layout rule: m = len(bases), nbar = nprime m + h, rbar_eff =
+    p_1 ... p_m and l = rbar_eff^nprime p_1 ... p_h.  The code's dimension
+    is k = (nbar - rbar) u + v; when rbar_eff != rbar the repair family is
+    the one for k' = (nbar - rbar_eff) u + v.  Refuses, before any field is
+    built, bad integers, nprime < 2, a field beyond `check_field_size`, and
+    a rack whose digit window has no index set (`radix.window`)."""
+    if rbar < 2:
+        raise ValueError("need rbar >= 2")
     if not is_prime(q):
         raise ValueError(f"q = {q} must be prime")
     if u < 1 or (q - 1) % u != 0:
         raise ValueError(f"u = {u} must divide q - 1 = {q - 1}")
     if not 0 <= v <= u - 1:
         raise ValueError(f"v = {v} must lie in [0, {u - 1}]")
-    kbar = nbar - rbar
-    if kbar < 1:
+    if nbar - rbar < 1:
         raise ValueError("need nbar - rbar >= 1")
-    k = kbar * u + v
-    if k < u:
-        raise ValueError("need k >= u")
-    return kbar, k
-
-
-def _check_windows(primes: tuple[int, ...], nbar: int):
-    """Refuse a multi-base layout in which some rack's digit window has no
-    index set (`radix.window`'s rule), before any field is built."""
-    radices = multi_base_radices(primes, nbar)
+    m = len(bases)
+    nprime, h = divmod(nbar, m)
+    if nprime < 2:
+        raise ValueError("need floor(nbar / m) >= 2")
+    rbar_eff = prod(bases)
+    l = rbar_eff**nprime * prod(bases[:h])
+    check_field_size(q, l)
+    radices = multi_base_radices(bases, nbar)
     for e in range(1, nbar + 1):
-        window(radices, e, len(primes))
-
-
-def c1_params(q: int, u: int, nbar: int, rbar: int, v: int = 0, *, mode: str = "C1") -> SchemeParams:
-    """Parameters for the basic construction (l = rbar^nbar)."""
-    if rbar < 2:
-        raise ValueError("need rbar >= 2")
-    kbar, k = _validate_common(q, u, nbar, rbar, v)
+        window(radices, e, m)
     return SchemeParams(
-        mode=mode, q=q, u=u, nbar=nbar, rbar=rbar, primes=None, v=v,
-        rbar_eff=rbar, m=1, h=0, nprime=nbar, l=rbar**nbar,
-        kbar=kbar, k=k, n=nbar * u, kprime=None,
+        mode=mode, q=q, u=u, nbar=nbar, rbar=rbar, bases=bases, v=v,
+        rbar_eff=rbar_eff, m=m, h=h, nprime=nprime, l=l, k=(nbar - rbar) * u + v, n=nbar * u,
+        kprime=(nbar - rbar_eff) * u + v if rbar_eff != rbar else None,
     )
+
+
+def c1_params(q: int, u: int, nbar: int, rbar: int, v: int = 0) -> SchemeParams:
+    """Parameters for the basic construction (l = rbar^nbar)."""
+    return _scheme("C1", q, u, nbar, rbar, (rbar,), v)
 
 
 def homogeneous_params(q: int, nbar: int, rbar: int, v: int = 0) -> SchemeParams:
     """u = 1 degeneration: every node is its own rack."""
     if v != 0:
         raise ValueError("v must be 0 when u = 1")
-    return c1_params(q, 1, nbar, rbar, 0, mode="homogeneous")
+    return _scheme("homogeneous", q, 1, nbar, rbar, (rbar,), 0)
 
 
 def c2_params(q: int, u: int, nbar: int, primes, v: int = 0) -> SchemeParams:
@@ -108,20 +115,9 @@ def c2_params(q: int, u: int, nbar: int, primes, v: int = 0) -> SchemeParams:
         raise ValueError("the multi-base construction needs m >= 2 primes")
     for p in primes:
         if not is_prime(p):
-            raise ValueError(f"{p} in the prime list is composite")
-    rbar = prod(primes)
-    m = len(primes)
-    nprime, h = divmod(nbar, m)
-    if nprime < 2:
-        raise ValueError("need floor(nbar / m) >= 2")
-    kbar, k = _validate_common(q, u, nbar, rbar, v)
-    _check_windows(primes, nbar)
-    l = rbar**nprime * prod(primes[:h])
-    return SchemeParams(
-        mode="C2" if h == 0 else "C2-remainder", q=q, u=u, nbar=nbar, rbar=rbar,
-        primes=primes, v=v, rbar_eff=rbar, m=m, h=h, nprime=nprime, l=l,
-        kbar=kbar, k=k, n=nbar * u, kprime=None,
-    )
+            raise ValueError(f"{p} in the prime list is not prime")
+    mode = "C2" if nbar % len(primes) == 0 else "C2-remainder"
+    return _scheme(mode, q, u, nbar, prod(primes), primes, v)
 
 
 def cor7_params(q: int, u: int, nbar: int, rbar: int, v: int = 0) -> SchemeParams:
@@ -131,24 +127,9 @@ def cor7_params(q: int, u: int, nbar: int, rbar: int, v: int = 0) -> SchemeParam
     family is the one for the larger dimension k' = (nbar - rbar') u + v,
     which stays valid because its polynomial degrees fit under n - k' - 1.
     """
-    if rbar in (2, 3):
-        raise ValueError("rbar = 2 or 3 needs no adaptation; use the basic construction")
-    if not is_prime(rbar):
-        raise ValueError("rbar is composite; use the multi-base construction directly")
-    kbar, k = _validate_common(q, u, nbar, rbar, v)
-    primes = tuple(factorize(rbar - 1))
-    m = len(primes)
-    nprime, h = divmod(nbar, m)
-    if nprime < 2:
-        raise ValueError("need floor(nbar / m) >= 2 for the rbar - 1 system")
-    _check_windows(primes, nbar)
-    l = (rbar - 1) ** nprime * prod(primes[:h])
-    kprime = (nbar - (rbar - 1)) * u + v
-    return SchemeParams(
-        mode="Cor7", q=q, u=u, nbar=nbar, rbar=rbar, primes=primes, v=v,
-        rbar_eff=rbar - 1, m=m, h=h, nprime=nprime, l=l,
-        kbar=kbar, k=k, n=nbar * u, kprime=kprime,
-    )
+    if rbar < 5 or not is_prime(rbar):
+        raise ValueError(f"Cor7 needs a prime rbar >= 5, got rbar = {rbar}")
+    return _scheme("Cor7", q, u, nbar, rbar, tuple(factorize(rbar - 1)), v)
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +167,10 @@ class CodeInstance:
 
 
 def digit_system(params: SchemeParams) -> RadixSystem:
-    """The mixed-radix system housing the construction's exponents: uniform
-    rbar-ary for the basic modes, multi-base of the (effective) primes
-    otherwise.  Its capacity is exactly l and its weights are the rack
-    exponents."""
-    if params.mode in ("C1", "homogeneous"):
-        return RadixSystem.uniform(params.rbar, params.nbar)
-    return RadixSystem.multi_base(params.primes, params.nbar)
+    """The mixed-radix system housing the construction's exponents: the
+    multi-base expansion of `params.bases` over nbar positions.  Its
+    capacity is exactly l and its weights are the rack exponents."""
+    return RadixSystem(multi_base_radices(params.bases, params.nbar))
 
 
 def build(params: SchemeParams) -> CodeInstance:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from math import prod
 
-from .numbertheory import is_prime
-
 
 class RadixSystem:
     """Positional system with per-position radices (rho_1, ..., rho_N).
@@ -32,18 +30,6 @@ class RadixSystem:
             weights.append(weights[-1] * r)
         self.weights = tuple(weights)
         self.capacity = prod(radices)
-
-    @classmethod
-    def uniform(cls, radix: int, length: int) -> "RadixSystem":
-        return cls((radix,) * length)
-
-    @classmethod
-    def multi_base(cls, primes, nbar: int) -> "RadixSystem":
-        """The multi-base expansion over nbar positions (`multi_base_radices`)."""
-        primes = tuple(int(p) for p in primes)
-        if any(not is_prime(p) for p in primes):
-            raise ValueError("multi-base radices must all be prime")
-        return cls(multi_base_radices(primes, nbar))
 
     def encode(self, a: int) -> tuple[int, ...]:
         """Unique digits of a, position 1 first, extracted greedily position
@@ -65,10 +51,11 @@ class RadixSystem:
         return sum(t * w for t, w in zip(digits, self.weights))
 
 
-def multi_base_radices(primes: tuple[int, ...], nbar: int) -> tuple[int, ...]:
-    """(p_1..p_m) repeated floor(nbar/m) times, then (p_1..p_h)."""
-    nprime, h = divmod(nbar, len(primes))
-    return primes * nprime + primes[:h]
+def multi_base_radices(bases: tuple[int, ...], nbar: int) -> tuple[int, ...]:
+    """The multi-base expansion over nbar positions: (p_1..p_m) repeated
+    floor(nbar/m) times, then (p_1..p_h); (rbar,) gives the rbar-ary one."""
+    nprime, h = divmod(nbar, len(bases))
+    return bases * nprime + bases[:h]
 
 
 def window(radices, start: int, width: int) -> tuple[int, ...]:

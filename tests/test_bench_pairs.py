@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 
 import pytest
@@ -177,3 +178,36 @@ def test_malformed_output_keeps_finished_pairs(tmp_path, capsys, stdout, tail):
     assert entry["summary"]["setup_s"]["change"]["median"] == 0.1
     assert entry["failed_run"] == {"side": "change", "pair": 1, "seed": 2, "returncode": 0,
                                    "stdout_tail": tail}
+
+
+def test_timed_out_run_keeps_finished_pairs(tmp_path, capsys, monkeypatch):
+    # each run is bounded at ten times run_seconds; the change's run at seed
+    # 2 outlives it, is killed and is recorded like any failed run: the file
+    # keeps the pair of seed 1 and names the run with the tail of its stderr
+    base = _stub_checkout(tmp_path / "base", "")
+    change = _stub_checkout(tmp_path / "change", "")
+    timeouts = []
+
+    def fake_run(cmd, cwd, timeout=None, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 1, "", "")
+        timeouts.append(timeout)
+        seed = int(cmd[cmd.index("--seed") + 1])
+        if seed == 2 and Path(cwd) == change:
+            raise subprocess.TimeoutExpired(cmd, timeout, output=b"", stderr=b"setting up\nstuck")
+        result = {"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {"setup_s": {"value": 0.1 * seed}}}
+        return subprocess.CompletedProcess(cmd, 0, json.dumps({"env": {}}) + "\n"
+                                           + json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert main(["--base", str(base), "--change", str(change), "--workload", "w",
+                 "--seeds", "1,2,3", "--out", str(out)]) == 1
+    assert timeouts == [10, 10, 10]
+    assert ("change run failed: workload w, seed 2, timed out after 10 s; "
+            "its stderr ends:\nsetting up\nstuck") in capsys.readouterr().err
+    entry = json.loads(out.read_text())["workloads"]["w"]
+    assert [[r["seed"] for r in entry["runs"][side]] for side in ("base", "change")] == [[1], [1]]
+    assert entry["failed_run"] == {"side": "change", "pair": 1, "seed": 2, "returncode": None,
+                                   "stderr_tail": "setting up\nstuck"}

@@ -222,6 +222,8 @@ def test_main_invalid_parameters_no_traceback(argv, names, capsys):
     ["sweep", "--rbar", "2", "--out", "missing_dir/x"],
     ["sweep", "--rbar", "2", "--out", "."],
     ["sweep", "--mode", "C2", "--primes", "2,3", "--nbar", "7", "--u", "1"],
+    # l = 2^13 is beyond the field limits: the whole range is refused up front
+    ["nbar-sweep", "--rbar", "2", "--nbar", "13", "--trials", "0"],
 ])
 def test_main_rejects_before_field_work(argv, monkeypatch):
     def no_build(params):

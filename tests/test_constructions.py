@@ -15,11 +15,12 @@ from rackrepair.constructions import (
     verify_rank_condition,
 )
 from rackrepair.gf import rank_over_base
+from rackrepair.radix import multi_base_radices
 
 
 def test_c1_params_derivation():
     p = c1_params(3, 2, 3, 2)
-    assert (p.l, p.n, p.k, p.kbar, p.v) == (8, 6, 2, 1, 0)
+    assert (p.l, p.n, p.k, p.v) == (8, 6, 2, 0)
     assert p.mode == "C1" and p.rbar_eff == 2
 
 
@@ -33,7 +34,7 @@ def test_c2_params_derivation():
 
 def test_cor7_params_derivation():
     p = cor7_params(3, 2, 6, 5)
-    assert (p.rbar, p.rbar_eff, p.primes, p.l, p.k, p.kprime) == (5, 4, (2, 2), 64, 2, 4)
+    assert (p.rbar, p.rbar_eff, p.bases, p.l, p.k, p.kprime) == (5, 4, (2, 2), 64, 2, 4)
     # degree check: u * rbar' - u <= n - k' - 1
     assert p.u * p.rbar_eff - p.u == 6 <= p.n - p.kprime - 1 == 7
 
@@ -59,6 +60,22 @@ def test_params_validation_errors():
         cor7_params(3, 2, 8, 6)  # composite rbar: use multi-base directly
     with pytest.raises(ValueError):
         homogeneous_params(3, 3, 2, v=1)
+    # a value that is not prime is named as such, not called composite
+    for rbar in (1, 0, -5, 4):
+        with pytest.raises(ValueError, match=f"prime rbar >= 5, got rbar = {rbar}$"):
+            cor7_params(3, 2, 8, rbar)
+    for p in (0, -2):
+        with pytest.raises(ValueError, match=f"^{p} in the prime list is not prime$"):
+            c2_params(3, 2, 6, (p, 2))
+
+
+def test_params_refuse_oversized_fields():
+    # every constructor refuses a field beyond the limits before any other
+    # work: l = 2^16000 for C1, 4^13 for C2 and 4^13 for Cor7's rbar - 1 system
+    for make in (lambda: c1_params(3, 2, 16000, 2), lambda: c2_params(3, 2, 26, (2, 2)),
+                 lambda: cor7_params(3, 2, 26, 5)):
+        with pytest.raises(ValueError, match=r"is too large: need q <= 65537 and l <= 4096"):
+            make()
 
 
 def test_build_c1_small():
@@ -113,8 +130,10 @@ def test_digit_system_capacity():
         c2_params(3, 2, 6, (2, 2)),
         c2_params(3, 2, 5, (2, 2)),
         cor7_params(3, 2, 6, 5),
+        homogeneous_params(3, 3, 2),
     ):
         assert digit_system(params).capacity == params.l
+        assert digit_system(params).radices == multi_base_radices(params.bases, params.nbar)
 
 
 def test_rack_wy():

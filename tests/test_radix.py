@@ -3,7 +3,7 @@ from math import prod
 
 import pytest
 
-from rackrepair.radix import RadixSystem, index_set
+from rackrepair.radix import RadixSystem, index_set, multi_base_radices
 
 
 def test_system_weights_and_capacity():
@@ -63,7 +63,7 @@ def test_bijectivity_exhaustive():
 
 def test_weight_dwy_examples():
     # d_(w,y) is the weight at flat position w*m + y
-    sys = RadixSystem.multi_base((2, 3), 4)
+    sys = RadixSystem(multi_base_radices((2, 3), 4))
     assert sys.weights[0] == 1  # (w, y) = (0, 1): empty product
     assert sys.weights[1] == 2  # (0, 2)
     assert sys.weights[3] == 12  # (1, 2): 6 * 2
@@ -74,7 +74,7 @@ def test_weight_dwy_is_system_weight():
     for primes in ((2, 3), (2, 2), (3, 5, 2)):
         m = len(primes)
         nprime = 3
-        sys = RadixSystem.multi_base(primes, nprime * m)
+        sys = RadixSystem(multi_base_radices(primes, nprime * m))
         for w in range(nprime):
             for y in range(1, m + 1):
                 flat = w * m + y
@@ -86,24 +86,22 @@ def test_weight_dwy_is_system_weight():
 
 
 def test_multi_base_layout():
-    sys = RadixSystem.multi_base((2, 3), 5)  # nprime=2, h=1
+    sys = RadixSystem(multi_base_radices((2, 3), 5))  # nprime=2, h=1
     assert sys.radices == (2, 3, 2, 3, 2)
-    with pytest.raises(ValueError):
-        RadixSystem.multi_base((2, 4), 4)  # 4 is not prime
 
 
 def test_index_set_c1_examples():
     # basic construction: rack i keeps the t whose i-th rbar-ary digit is zero
-    binary = RadixSystem.uniform(2, 3)
+    binary = RadixSystem(multi_base_radices((2,), 3))
     assert index_set(binary, 2, 1) == (0, 1, 4, 5)
-    assert index_set(RadixSystem.uniform(2, 1), 1, 1) == (0,)
+    assert index_set(RadixSystem(multi_base_radices((2,), 1)), 1, 1) == (0,)
     for i in (1, 2, 3):
         assert len(index_set(binary, i, 1)) == 2**2
     # composite rbar, which the basic construction admits
-    assert index_set(RadixSystem.uniform(4, 2), 1, 1) == (0, 4, 8, 12)
-    assert index_set(RadixSystem.uniform(4, 2), 2, 1) == (0, 1, 2, 3)
-    assert index_set(RadixSystem.uniform(6, 2), 1, 1) == (0, 6, 12, 18, 24, 30)
-    assert index_set(RadixSystem.uniform(6, 3), 2, 1) == tuple(
+    assert index_set(RadixSystem(multi_base_radices((4,), 2)), 1, 1) == (0, 4, 8, 12)
+    assert index_set(RadixSystem(multi_base_radices((4,), 2)), 2, 1) == (0, 1, 2, 3)
+    assert index_set(RadixSystem(multi_base_radices((6,), 2)), 1, 1) == (0, 6, 12, 18, 24, 30)
+    assert index_set(RadixSystem(multi_base_radices((6,), 3)), 2, 1) == tuple(
         t for t in range(216) if (t // 6) % 6 == 0
     )
     with pytest.raises(ValueError):
@@ -114,14 +112,14 @@ def test_index_set_c1_examples():
 
 def test_index_set_c1_cardinality():
     for nbar, rbar in ((3, 2), (4, 2), (3, 3), (3, 4), (3, 6)):
-        sys = RadixSystem.uniform(rbar, nbar)
+        sys = RadixSystem(multi_base_radices((rbar,), nbar))
         for i in range(1, nbar + 1):
             assert len(index_set(sys, i, 1)) == rbar ** (nbar - 1)
 
 
 def test_index_set_c2_examples():
     # l = 16, digits t1..t4 with radices (2,2,2,2)
-    sys = RadixSystem.multi_base((2, 2), 4)
+    sys = RadixSystem(multi_base_radices((2, 2), 4))
     assert index_set(sys, 1, 2) == (0, 4, 8, 12)  # t1 = t2 = 0
     # wrapped: rack (w, y) = (1, 2) -> positions 4 and 1
     expect = tuple(
@@ -136,14 +134,14 @@ def test_index_set_c2_cardinality():
         m = len(primes)
         rbar = prod(primes)
         l = rbar**nprime
-        sys = RadixSystem.multi_base(primes, nprime * m)
+        sys = RadixSystem(multi_base_radices(primes, nprime * m))
         for e in range(1, nprime * m + 1):
             assert len(index_set(sys, e, m)) * rbar == l
 
 
 def test_index_set_c2_remainder():
     # nbar = 5, primes (2,2): positions 1..5, all radix 2, l = 32
-    sys = RadixSystem.multi_base((2, 2), 5)
+    sys = RadixSystem(multi_base_radices((2, 2), 5))
     ts = index_set(sys, 5, 2)  # tail rack: positions 5, 1
     expect = tuple(
         t for t in range(32)
@@ -157,11 +155,11 @@ def test_index_set_c2_rejects_uneven_remainder_window():
     # primes (2,3), nbar = 5: the wrapped window of the tail rack covers
     # radices (2, 2), product 4 != rbar = 6 -> no size-l/rbar index set
     with pytest.raises(ValueError):
-        index_set(RadixSystem.multi_base((2, 3), 5), 5, 2)
+        index_set(RadixSystem(multi_base_radices((2, 3), 5)), 5, 2)
 
 
 def test_index_set_c2_validation():
-    sys = RadixSystem.multi_base((2, 2), 4)
+    sys = RadixSystem(multi_base_radices((2, 2), 4))
     for start, width in ((0, 2), (5, 2), (1, 0), (1, 5)):
         with pytest.raises(ValueError):
             index_set(sys, start, width)
@@ -173,7 +171,7 @@ def test_coset_decomposition_block_racks():
         m = len(primes)
         rbar = prod(primes)
         l = rbar**nprime
-        sys = RadixSystem.multi_base(primes, nprime * m)
+        sys = RadixSystem(multi_base_radices(primes, nprime * m))
         for e in range(1, (nprime - 1) * m + 1):
             d = sys.weights[e - 1]
             ts = index_set(sys, e, m)
@@ -187,7 +185,7 @@ def test_coset_decomposition_wrapped_racks():
         m = len(primes)
         rbar = prod(primes)
         l = rbar**nprime
-        sys = RadixSystem.multi_base(primes, nprime * m)
+        sys = RadixSystem(multi_base_radices(primes, nprime * m))
         w = nprime - 1
         for y in range(1, m + 1):
             d = sys.weights[w * m + y - 1]

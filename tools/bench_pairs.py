@@ -24,11 +24,12 @@ attempted per run, so a metric that grows with the work a run completes,
 such as `peak_rss_mb`, can be read against it.
 `--workload` may be given more than once.
 
-A run that exits non-zero, or exits 0 with a first or last stdout line that
-is not the expected JSON, stops the whole comparison: the file is written
-with the pairs finished so far and the failed run (side, seed, exit code
-and the tail of its stderr, or of its stdout when the output is malformed),
-the same is printed, and the exit status is 1.
+A run that exits non-zero, exits 0 with a first or last stdout line that
+is not the expected JSON, or is still running after ten times `run_seconds`
+(it is then killed) stops the whole comparison: the file is written with the
+pairs finished so far and the failed run (side, seed, exit code, null for a
+killed run, and the tail of its stderr, or of its stdout when the output is
+malformed), the same is printed, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -42,13 +43,12 @@ from pathlib import Path
 
 
 class RunFailed(RuntimeError):
-    """A benchmark run exited non-zero or printed malformed output; carries
-    its exit code and the tail of the stream that shows why ("stderr" or
-    "stdout")."""
+    """A benchmark run exited non-zero, printed malformed output or timed out;
+    carries its exit code (None when it was killed), the tail of the stream
+    that shows why ("stderr" or "stdout") and the reason."""
 
-    def __init__(self, returncode: int, stream: str, tail: str):
-        malformed = ", malformed output" if stream == "stdout" else ""
-        super().__init__(f"exit code {returncode}{malformed}")
+    def __init__(self, returncode: int | None, stream: str, tail: str, reason: str):
+        super().__init__(reason)
         self.returncode, self.stream, self.tail = returncode, stream, tail
 
 
@@ -59,9 +59,14 @@ def _tail(text: str) -> str:
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    got = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    timeout = 10 * seconds
+    try:
+        got = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired as exc:  # its streams arrive undecoded
+        stderr = (exc.stderr or b"").decode(errors="replace")
+        raise RunFailed(None, "stderr", _tail(stderr), f"timed out after {timeout} s") from None
     if got.returncode != 0:
-        raise RunFailed(got.returncode, "stderr", _tail(got.stderr))
+        raise RunFailed(got.returncode, "stderr", _tail(got.stderr), f"exit code {got.returncode}")
     lines = got.stdout.splitlines()
     try:
         head, result = json.loads(lines[0]), json.loads(lines[-1])
@@ -69,7 +74,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                 "attempted": result["attempted"], "failed": result["failed"],
                 "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
     except (ValueError, IndexError, KeyError, TypeError):  # not the JSON lines run.py prints
-        raise RunFailed(got.returncode, "stdout", _tail(got.stdout)) from None
+        raise RunFailed(got.returncode, "stdout", _tail(got.stdout),
+                        f"exit code {got.returncode}, malformed output") from None
 
 
 def git_sha(checkout: Path) -> str:
