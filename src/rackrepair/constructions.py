@@ -74,7 +74,7 @@ def _scheme(mode: str, q: int, u: int, nbar: int, rbar: int, bases: tuple[int, .
     if not is_prime(q):
         raise ValueError(f"q = {q} must be prime")
     if u < 1 or (q - 1) % u != 0:
-        raise ValueError(f"u = {u} must divide q - 1 = {q - 1}")
+        raise ValueError(f"u = {u} must be a positive divisor of q - 1 = {q - 1}")
     if not 0 <= v <= u - 1:
         raise ValueError(f"v = {v} must lie in [0, {u - 1}]")
     if nbar - rbar < 1:

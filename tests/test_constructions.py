@@ -67,6 +67,10 @@ def test_params_validation_errors():
     for p in (0, -2):
         with pytest.raises(ValueError, match=f"^{p} in the prime list is not prime$"):
             c2_params(3, 2, 6, (p, 2))
+    # u must be a positive divisor of q - 1: -2 divides 2 but is refused
+    for u in (-2, 0, 4):
+        with pytest.raises(ValueError, match=f"^u = {u} must be a positive divisor of q - 1 = 2$"):
+            c1_params(3, u, 3, 2)
 
 
 def test_params_refuse_oversized_fields():

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from field_oracle import irreducibles, poly_gcd, poly_mul
+from field_oracle import frobenius_matrix, irreducibles, poly_gcd, poly_mul
 
 from rackrepair import gf
 from rackrepair.gf import (
@@ -205,6 +205,75 @@ def test_ring_pow_products(monkeypatch):
     for e in range(20):
         assert np.array_equal(ring.pow(a, e), acc)
         acc = mul(ring, acc, a)
+
+
+# the fields the suite builds elsewhere, l = 1 included
+POWER_FIELDS = [(2, 1), (3, 1), (65537, 1), (2, 3), (2, 5), (2, 16), (3, 2), (3, 4), (3, 8),
+                (3, 64), (3, 128), (5, 2), (5, 3), (5, 32), (7, 2), (13, 2), (13, 64), (65537, 4)]
+
+
+def base_q_digits(e, q):
+    digits = []
+    while e:
+        e, d = divmod(e, q)
+        digits.append(d)
+    return digits
+
+
+@pytest.mark.parametrize("q,l", POWER_FIELDS, ids=[f"{q}^{l}" for q, l in POWER_FIELDS])
+def test_frobenius_matrix_matches_oracle(q, l):
+    # Q @ a = a^q, column j = x^(qj) mod f, and l steps are the identity
+    field = GF(q, l)
+    Q = field._frobenius
+    assert np.array_equal(Q, frobenius_matrix(np.array(field.modulus, dtype=np.int64), q))
+    rng = random.Random(q + l)
+    for _ in range(3):
+        a = field.random_element(rng)
+        r = a.vec
+        for _ in range(l):
+            r = Q @ r % q
+        assert np.array_equal(r, a.vec)
+
+
+@pytest.mark.parametrize("q,l", POWER_FIELDS, ids=[f"{q}^{l}" for q, l in POWER_FIELDS])
+def test_pow_matches_square_and_multiply(q, l):
+    # the base-q Horner power against `_QuotientRing.pow`, the oracle
+    field = GF(q, l)
+    order = field.order
+    exponents = [0, 1, q - 1, q, *(order // p for p in set(field.order_factorization)),
+                 order - 1, order, 3 * q**80 + order // 2 + 7]
+    rng = random.Random(q * l + 1)
+    bases = [field.zero, field.one, field.zeta] + [field.random_element(rng) for _ in range(2)]
+    for a in bases:
+        for e in exponents:
+            assert np.array_equal((a**e).vec, field._ring.pow(a.vec, e)), (a, e)
+
+
+@pytest.mark.parametrize("q,l", [(13, 64), (65537, 4)])
+def test_pow_products(monkeypatch, q, l):
+    # a certification power takes at most l - 1 products for its digits and
+    # square-and-multiply per distinct gap between them, and building Q
+    # takes the products of x^q alone: no table of a^d for every d < q
+    field = GF(q, l)
+    a = field.zeta
+    calls = []
+    mul = gf._QuotientRing.mul
+    monkeypatch.setattr(gf._QuotientRing, "mul", lambda self, u, v: calls.append(1) or mul(self, u, v))
+    monkeypatch.delitem(field.__dict__, "_frobenius")
+    field._frobenius
+    assert len(calls) <= 2 * q.bit_length()
+    for p in sorted(set(field.order_factorization)):
+        e = field.order // p
+        digits = base_q_digits(e, q)
+        distinct = sorted(set(digits) - {0})
+        gaps = {d - c for c, d in zip([0, *distinct], distinct)}
+        chain = sum(2 * g.bit_length() for g in gaps) + len(distinct)
+        calls.clear()
+        power = a**e
+        horner = len(calls)
+        calls.clear()
+        assert np.array_equal(field._ring.pow(a.vec, e), power.vec)
+        assert horner <= l + chain and horner < len(calls), (p, horner, len(calls))
 
 
 def test_factor_field_order_examples():
