@@ -259,7 +259,7 @@ def test_pow_products(monkeypatch, q, l):
     calls = []
     mul = gf._QuotientRing.mul
     monkeypatch.setattr(gf._QuotientRing, "mul", lambda self, u, v: calls.append(1) or mul(self, u, v))
-    monkeypatch.delitem(field.__dict__, "_frobenius")
+    monkeypatch.delitem(field.__dict__, "_frobenius", raising=False)
     field._frobenius
     assert len(calls) <= 2 * q.bit_length()
     for p in sorted(set(field.order_factorization)):
