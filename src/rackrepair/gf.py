@@ -22,6 +22,12 @@ von zur Gathen & Shoup, 1992).  The certification of the primitive element
 and the inverse a^(q^l - 2) both take their powers this way.  Square-and-
 multiply (`_QuotientRing.pow`) stays for the irreducible search, whose
 candidate rings have no Q.
+
+Certifying zeta has two halves.  q^l - 1 is factored one cyclotomic piece
+Phi_d(q) at a time, by `factorize` in the residue class of its primes and
+under its step budget.  Each prime p is then checked through the norm to
+the least subfield GF(q^d) with p | q^d - 1, so a check powers an element
+of that subfield, and the candidate's norms are built from each other.
 """
 
 from __future__ import annotations
@@ -600,13 +606,17 @@ def factor_field_order(q: int, l: int) -> tuple[int, ...]:
     """Prime factorization of q^l - 1 as a sorted multiset.
 
     q^l - 1 is first split into cyclotomic polynomial values prod_{d|l}
-    Phi_d(q), and each (much smaller) piece is factored by trial division
-    plus deterministic Pollard rho.  The result multiplies back to q^l - 1
-    and every entry is certified prime.
+    Phi_d(q), and each (much smaller) piece is factored by `factorize` with
+    its d, which trial-divides only in the residue class its primes lie in
+    and runs Pollard rho under a step budget (`ValueError` when a piece
+    does not split within it).  The result multiplies back to q^l - 1 and
+    every entry passes `is_prime`: a proof below 3.3e24, and above it a
+    strong-pseudoprime test to 36 fixed bases, which no composite is known
+    to pass but which is not a proof.
     """
     out: list[int] = []
     for d in divisors(l):
-        out += factorize(cyclotomic_value(d, q))
+        out += factorize(cyclotomic_value(d, q), d)
     out.sort()
     prod = 1
     for p in out:
@@ -620,19 +630,44 @@ def factor_field_order(q: int, l: int) -> tuple[int, ...]:
 
 def find_primitive_element(field: ExtensionField) -> FieldElement:
     """First element (counting order) of order q^l - 1, certified against the
-    stored factorization: zeta^((q^l-1)/p) != 1 for every prime factor p.
-    Each check is one `FieldElement.__pow__`: Horner's rule on the base-q
-    digits, about l Frobenius steps and one product per nonzero digit, in
-    place of square-and-multiply's 1.5 l log2(q) products.
+    stored factorization: zeta^((q^l-1)/p) != 1 for every prime factor p,
+    checked for ascending p.
+
+    Each check goes through a subfield norm.  With d_p the least divisor d
+    of l with p | q^d - 1, a^((q^l-1)/p) = N_d(a)^((q^d-1)/p), where
+    N_d(a) = a^((q^l-1)/(q^d-1)) is the norm of a to GF(q^d); the last
+    power has at most d base-q digits.  A candidate's norms are built on
+    first use, each from the norm to the least multiple m of d that divides
+    l and exceeds d (N_l(a) = a): N_d = N_m^((q^m-1)/(q^d-1)), an exponent
+    whose base-q digits are 1 at the multiples of d, so `__pow__` takes
+    m - d Frobenius steps and m/d - 1 products for it.  The checks and
+    their outcomes are those of the direct powers, in fewer products.
 
     For l > 1 the scan starts at the first non-constant candidate (counter
     q): a constant lies in B*, whose order q - 1 is below q^l - 1."""
-    checks = [field.order // p for p in sorted(set(field.order_factorization))]
-    start = field.q if field.l > 1 else 1
-    for digits in itertools.islice(_counting_order(field.q, field.l), start, None):
-        cand = FieldElement(field, digits)
-        if all((cand**e) != field.one for e in checks):
-            return cand
+    q, l = field.q, field.l
+    divs = divisors(l)
+    # N_d from N_m: (m, the exponent (q^m - 1)/(q^d - 1)) for each d < l
+    step = {}
+    for d in divs[:-1]:
+        m = min(m for m in divs if m > d and m % d == 0)
+        step[d] = m, (q**m - 1) // (q**d - 1)
+    checks = []  # (d_p, (q^d_p - 1)/p) for ascending p
+    for p in sorted(set(field.order_factorization)):
+        d = next(d for d in divs if pow(q, d, p) == 1)
+        checks.append((d, (q**d - 1) // p))
+
+    def norm(norms, d):
+        if d not in norms:
+            m, e = step[d]
+            norms[d] = norm(norms, m) ** e
+        return norms[d]
+
+    start = q if l > 1 else 1
+    for digits in itertools.islice(_counting_order(q, l), start, None):
+        norms = {l: FieldElement(field, digits)}
+        if all(norm(norms, d) ** e != field.one for d, e in checks):
+            return norms[l]
     raise AssertionError("no primitive element found (impossible)")
 
 

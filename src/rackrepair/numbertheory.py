@@ -1,13 +1,22 @@
 """Integer primality and factoring, sized for certifying field orders.
 
 Everything here is deterministic: Miller-Rabin runs a fixed witness set
-(provably sufficient below 3.3e24, extended with derived witnesses above)
-and Pollard's rho uses the Brent cycle variant with a fixed parameter
-sweep, so repeated runs factor the same number the same way.
+(provably sufficient below 3.3e24, extended with derived witnesses above,
+where a pass is strong evidence but not a proof) and Pollard's rho uses the
+Brent cycle variant with a fixed parameter sweep, so repeated runs factor
+the same number the same way.
+
+`factorize(n, d)` takes the cyclotomic index d of a field-order piece
+Phi_d(q): its primes divide d or are 1 mod k (k = d for even d, 2d for odd
+d), so trial division runs over that residue class only and rho iterates
+y -> y^k + c (Brent & Pollard, 1981).  Rho stops after `_RHO_BUDGET` map
+steps with a `ValueError` naming the cofactor it could not split: a count
+of steps, not a clock, bounds every factorization.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 # Witnesses proven sufficient for all n < 3_317_044_064_679_887_385_961_981.
@@ -15,6 +24,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_TRIAL_LIMIT = 100_000  # trial division stops below this
+_RHO_BUDGET = 1 << 20  # map steps per rho call: about 3 s at 130 bits and k = 256
 
 
 def is_prime(n: int) -> bool:
@@ -48,61 +59,89 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int) -> int:
-    """Nontrivial factor of an odd composite n (Brent's cycle finding)."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 1000):
+def _pollard_brent(n: int, k: int) -> int:
+    """Nontrivial factor of an odd composite n (Brent's cycle finding) with
+    the map y -> y^k + c, for c = 1, 2, ... in turn.
+
+    Every map step counts against `_RHO_BUDGET`, summed over the c tried;
+    a block of steps that would pass it raises `ValueError` naming n first,
+    so the result never depends on wall time."""
+    steps = 0
+
+    def spend(count):
+        nonlocal steps
+        steps += count
+        if steps > _RHO_BUDGET:
+            raise ValueError(f"Pollard rho found no factor of {n} within its "
+                             f"budget of {_RHO_BUDGET} steps")
+
+    for c in itertools.count(1):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
             x = y
+            spend(r)
             for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
+                y = (pow(y, k, n) + c) % n
+            i = 0
+            while i < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
+                spend(min(m, r - i))
+                for _ in range(min(m, r - i)):
+                    y = (pow(y, k, n) + c) % n
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
-                k += m
+                i += m
             r *= 2
         if g == n:
             g = 1
             while g == 1:
-                ys = (ys * ys + c) % n
+                spend(1)
+                ys = (pow(ys, k, n) + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise ArithmeticError(f"rho parameter sweep exhausted for {n}")
 
 
-def factorize(n: int) -> list[int]:
-    """Prime factorization of n >= 1 as a sorted list with multiplicity."""
-    if n < 1:
-        raise ValueError("factorize expects n >= 1")
+def factorize(n: int, d: int = 1) -> list[int]:
+    """Prime factorization of n >= 1 as a sorted list with multiplicity.
+
+    d >= 1 says where n's prime factors lie, for n a factor of the
+    cyclotomic value Phi_d(q): each prime factor of Phi_d(q) divides d or
+    is 1 mod k, where k = d for even d and k = 2d for odd d.  n is divided
+    by the 15 trial primes, then only by the numbers 1 + jk from 53 up to
+    `_TRIAL_LIMIT` while their square stays at most the cofactor.  A
+    composite left over is split at its gcd with d when that is a proper
+    factor, and otherwise by Pollard rho with the map y -> y^k + c, whose
+    cycles are about sqrt(k) times shorter on primes 1 mod k (Brent &
+    Pollard, 1981).  d = 1 is the odd-number loop and the map y^2 + c.
+    Any d gives the same factorization of any n; a d that does not fit n
+    only costs time.  A cofactor that rho cannot split within
+    `_RHO_BUDGET` steps raises `ValueError`."""
+    if n < 1 or d < 1:
+        raise ValueError("factorize expects n >= 1 and d >= 1")
+    k = d if d % 2 == 0 else 2 * d
+    # The divisors found, then the cofactor; each is prime or split below
+    # (a 1 + jk that divides n is prime when d fits n).
+    found: list[int] = []
+    for p in itertools.chain(_TRIAL_PRIMES, range(1 + k * -(-52 // k), _TRIAL_LIMIT, k)):
+        if p * p > n:
+            break
+        while n % p == 0:
+            found.append(p)
+            n //= p
+    found.append(n)
     out: list[int] = []
-    for p in _TRIAL_PRIMES:
-        while n % p == 0:
-            out.append(p)
-            n //= p
-    p = 53
-    while p * p <= n and p < 100_000:
-        while n % p == 0:
-            out.append(p)
-            n //= p
-        p += 2
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
+    while found:
+        m = found.pop()
         if m == 1:
             continue
         if is_prime(m):
             out.append(m)
             continue
-        d = _pollard_brent(m)
-        stack += [d, m // d]
+        g = math.gcd(m, d)
+        f = g if 1 < g < m else _pollard_brent(m, k)
+        found += [f, m // f]
     out.sort()
     return out
 

@@ -9,9 +9,15 @@ never reads `rackrepair.gf`: its polynomial division, gcd and search order
 are its own, so it shares no code with the blocked sieve it checks.
 
 Polynomials are 1-d int64 arrays, lowest degree first.
+
+`factorize` is the reference factorization for `factor_field_order`: trial
+division by the 15 primes to 47 and every odd number from 53 up to 100,000,
+then Pollard-Brent rho with y^2 + c and no step budget, behind its own
+strong-pseudoprime test.  It never reads `rackrepair.numbertheory`.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -99,3 +105,95 @@ def irreducibles(q, l):
         f = np.array(digits[::-1] + (1,), dtype=np.int64)
         if f[0] and not has_root(f, q) and passes_sieve(f, q):
             yield tuple(int(c) for c in f)
+
+
+# ---------------------------------------------------------------------------
+# integer factoring
+# ---------------------------------------------------------------------------
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def is_prime(n):
+    """Strong-pseudoprime test to the 12 primes up to 37 (a proof below
+    3.3e24) and 24 more bases derived from n above that."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    bases = list(_SMALL_PRIMES[:12])
+    if n >= 3_317_044_064_679_887_385_961_981:
+        bases += [(37 + k * k + n % (k + 101)) % (n - 3) + 2 for k in range(24)]
+    for a in bases:
+        a %= n
+        if a in (0, 1, n - 1):
+            continue
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def rho_factor(n):
+    """A nontrivial factor of the odd composite n: Brent's cycle finding on
+    y -> y^2 + c for c = 1, 2, ..."""
+    for c in itertools.count(1):
+        y, m, g, r, q = 2, 128, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def factorize(n):
+    """The prime factors of n >= 1, sorted, with multiplicity."""
+    out = []
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+    p = 53
+    while p * p <= n and p < 100_000:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+        p += 2
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_prime(m):
+            out.append(m)
+            continue
+        f = rho_factor(m)
+        stack += [f, m // f]
+    return sorted(out)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rackrepair import cli
+from rackrepair import cli, numbertheory
 from rackrepair.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -19,6 +19,7 @@ from rackrepair.cli import (
     run_sweep,
     summarize,
 )
+from rackrepair.gf import GF
 
 
 def c1_config(**kw):
@@ -231,6 +232,20 @@ def test_main_rejects_before_field_work(argv, monkeypatch):
 
     monkeypatch.setattr("rackrepair.cli.build", no_build)
     assert main(argv) == 2
+
+
+def test_main_factoring_budget_exit_2(monkeypatch, capsys):
+    # a field order that rho cannot split within its step budget is refused
+    # with status 2 and one line naming the cofactor, never a hang: here
+    # Phi_32(13), the piece of 13^64 - 1 that needs 254 steps
+    monkeypatch.setattr(numbertheory, "_RHO_BUDGET", 40)
+    GF.cache_clear()
+    code = main(["build", "--mode", "C2", "--q", "13", "--u", "3", "--nbar", "6",
+                 "--primes", "2,2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("invalid parameters: Pollard rho found no factor of "
+                   f"{441281 * 283763713} within its budget of 40 steps\n")
 
 
 def test_main_report_write_error_exit_2(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
+import field_oracle
 from field_oracle import frobenius_matrix, irreducibles, poly_gcd, poly_mul
 
 from rackrepair import gf
@@ -15,7 +17,7 @@ from rackrepair.gf import (
     rank_over_base,
     reduce_residues,
 )
-from rackrepair.numbertheory import factorize
+from rackrepair.numbertheory import cyclotomic_value, divisors, factorize
 
 
 def all_elements(field):
@@ -301,6 +303,55 @@ def test_primitive_element_certified():
         assert find_primitive_element(field) == zeta  # deterministic
     # the scan skips the q constants, which cannot have order q^l - 1
     assert GF(65537, 4).zeta.coeffs == (4, 1, 0, 0)
+
+
+# the fields whose certification is checked against the oracles: the
+# sieve's fields, q = 65537, and l with odd prime factors (36, 48, 72)
+CERTIFY_FIELDS = ORACLE_FIELDS + [(65537, 4), (13, 36), (7, 48), (3, 72)]
+
+
+@pytest.mark.parametrize("q,l", CERTIFY_FIELDS, ids=[f"{q}^{l}" for q, l in CERTIFY_FIELDS])
+def test_factor_field_order_matches_oracle(q, l):
+    # each Phi_d(q) factored in its residue class, against the odd-number
+    # trial division and y^2 + c rho of `field_oracle.factorize`
+    pieces = []
+    for d in divisors(l):
+        n = cyclotomic_value(d, q)
+        expected = field_oracle.factorize(n)
+        assert factorize(n, d) == expected, d
+        pieces += expected
+    assert factor_field_order(q, l) == tuple(sorted(pieces))
+    assert math.prod(pieces) == q**l - 1
+
+
+@pytest.mark.parametrize("q,l", CERTIFY_FIELDS, ids=[f"{q}^{l}" for q, l in CERTIFY_FIELDS])
+def test_primitive_element_matches_direct_oracle(q, l):
+    # the first candidate (counting order, constants skipped for l > 1, as
+    # their order divides q - 1) with a^((q^l-1)/p) != 1 for every prime p,
+    # each power by square-and-multiply on the whole field
+    field = GF(q, l)
+    order = q**l - 1
+    primes = sorted({p for d in divisors(l) for p in field_oracle.factorize(cyclotomic_value(d, q))})
+    ring, one = field._ring, field.one.vec
+    for counter in itertools.count(q if l > 1 else 1):
+        vec = np.array([counter // q**i % q for i in range(l)], dtype=np.int64)
+        if all(not np.array_equal(ring.pow(vec, order // p), one) for p in primes):
+            break
+    assert find_primitive_element(field).coeffs == tuple(int(c) for c in vec)
+    assert field.zeta.coeffs == tuple(int(c) for c in vec)
+
+
+@pytest.mark.parametrize("q,l,most", [(13, 64, 600), (3, 128, 200)])
+def test_certification_products(monkeypatch, q, l, most):
+    # the checks go through subfield norms: direct powers a^((q^l-1)/p)
+    # take 1366 products at (13, 64) and 662 at (3, 128)
+    field = GF(q, l)
+    field._frobenius  # built beforehand: only the certification is counted
+    calls = []
+    mul = gf._QuotientRing.mul
+    monkeypatch.setattr(gf._QuotientRing, "mul", lambda self, u, v: calls.append(1) or mul(self, u, v))
+    assert find_primitive_element(field) == field.zeta
+    assert len(calls) <= most, len(calls)
 
 
 def test_primitive_element_small_cases():

@@ -1,5 +1,9 @@
 import random
+import re
 
+import pytest
+
+from rackrepair import numbertheory
 from rackrepair.numbertheory import cyclotomic_value, divisors, factorize, is_prime
 
 
@@ -38,6 +42,61 @@ def test_factorize_known():
     assert factorize(15) == [3, 5]
     assert factorize(2) == [2]
     assert factorize(1) == []
+
+
+def test_factorize_any_class_hint_same_result():
+    # d only says where to look: every d gives the factorization of every n,
+    # whether or not n's primes lie in the class 1 mod k
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randrange(2, 10**12)
+        expected = factorize(n)
+        for d in (2, 3, 7, 64, 81, 2 * 3 * 53, 4096):
+            assert factorize(n, d) == expected, (n, d)
+    # a prime of d above the trial primes is split off at the gcd with d
+    assert factorize(59 * 59 * 7 * 709, 59) == [7, 59, 59, 709]
+    # 8083 = 59 * 137 and 3481 = 59^2 are 1 mod 6, so the class of d = 3
+    # divides by them: rho splits them after the primality test
+    assert factorize(59 * 137 * 10007, 3) == [59, 137, 10007]
+    assert factorize(59 * 59 * 10007, 3) == [59, 59, 10007]
+
+
+def test_cyclotomic_primes_lie_in_the_class():
+    # the premise of the class hint: every prime of Phi_d(q) divides d or is
+    # 1 mod k (k = d for even d, 2d for odd d)
+    for q, d in ((13, 32), (13, 64), (3, 81), (2, 128), (65537, 4), (7, 48), (3, 72), (7, 2)):
+        k = d if d % 2 == 0 else 2 * d
+        assert all(d % p == 0 or p % k == 1 for p in factorize(cyclotomic_value(d, q), d))
+
+
+def test_factorize_rejects_bad_arguments():
+    for n, d in ((0, 1), (5, 0), (-3, 2)):
+        with pytest.raises(ValueError):
+            factorize(n, d)
+
+
+# two 20-digit primes, both 1 mod 64: rho with y^64 + c needs about
+# sqrt(10^19 / 64), some 4 * 10^8 steps, to split their product
+P20, Q20 = 10000000000000007489, 30000000000000000193
+
+
+def test_factorize_budget_raises(monkeypatch):
+    assert is_prime(P20) and is_prime(Q20) and P20 % 64 == Q20 % 64 == 1
+    monkeypatch.setattr(numbertheory, "_RHO_BUDGET", 5000)
+    with pytest.raises(ValueError, match=f"no factor of {P20 * Q20} within its budget of 5000 steps"):
+        factorize(P20 * Q20, 64)
+
+
+def test_factorize_budget_counts_steps(monkeypatch):
+    # Phi_32(13) = 2 * 2657 * 441281 * 283763713: trial division leaves the
+    # last two, which rho with y^32 + c splits in 254 steps
+    n = cyclotomic_value(32, 13)
+    monkeypatch.setattr(numbertheory, "_RHO_BUDGET", 300)
+    assert factorize(n, 32) == [2, 2657, 441281, 283763713]
+    monkeypatch.setattr(numbertheory, "_RHO_BUDGET", 40)
+    with pytest.raises(ValueError, match="budget of 40 steps") as info:
+        factorize(n, 32)
+    assert int(re.search(r"factor of (\d+)", str(info.value)).group(1)) == 441281 * 283763713
 
 
 def test_divisors():
