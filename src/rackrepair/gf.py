@@ -611,8 +611,8 @@ def factor_field_order(q: int, l: int) -> tuple[int, ...]:
     and runs Pollard rho under a step budget (`ValueError` when a piece
     does not split within it).  The result multiplies back to q^l - 1 and
     every entry passes `is_prime`: a proof below 3.3e24, and above it a
-    strong-pseudoprime test to 36 fixed bases, which no composite is known
-    to pass but which is not a proof.
+    strong-pseudoprime test to 36 bases (12 fixed, 24 derived from the
+    number), which is not a proof.
     """
     out: list[int] = []
     for d in divisors(l):
