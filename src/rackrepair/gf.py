@@ -15,6 +15,12 @@ element is the first candidate (same counting order) certified to have order
 q^l - 1 against the prime factorization of that order.  Exponents and orders
 are plain Python integers, so they stay exact far beyond machine word size.
 
+The modulus search rejects most candidates without building their
+quotient ring: one matrix product per block of candidates with a table of
+x^i mod p, for every small irreducible p, finds the candidates with a small
+factor (a root included), and only the rest go through the distinct-degree
+sieve and Rabin's criterion.
+
 Large powers use the Frobenius map a -> a^q, which is B-linear: each field
 holds one l x l residue matrix Q with Q a = a^q, and a^e is Horner's rule on
 the base-q digits of e, one Q step per digit (the Frobenius technique of
@@ -24,8 +30,8 @@ multiply (`_QuotientRing.pow`) stays for the irreducible search, whose
 candidate rings have no Q.
 
 Certifying zeta has two halves.  q^l - 1 is factored one cyclotomic piece
-Phi_d(q) at a time, by `factorize` in the residue class of its primes and
-under its step budget.  Each prime p is then checked through the norm to
+Phi_d(q) at a time, by `factorize` in the residue class of its primes, all
+pieces under one step budget.  Each prime p is then checked through the norm to
 the least subfield GF(q^d) with p | q^d - 1, so a check powers an element
 of that subfield, and the candidate's norms are built from each other.
 """
@@ -39,7 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numbertheory import cyclotomic_value, divisors, factorize, is_prime
+from .numbertheory import RhoBudget, cyclotomic_value, divisors, factorize, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +91,20 @@ class _QuotientRing:
         self.l = modulus.size - 1
         self.modulus = modulus
         l = self.l
-        # reduction[j] = coefficients of x^(l+j) mod f, for j in [0, l-2]
-        red = np.zeros((max(l - 1, 0), l), dtype=np.int64)
-        cur = (-modulus[:l]) % q  # x^l mod f
-        for j in range(l - 1):
-            red[j] = cur
-            nxt = np.zeros(l, dtype=np.int64)
-            nxt[1:] = cur[: l - 1]
-            cur = (nxt + cur[l - 1] * red[0]) % q
+        # reduction[j] = coefficients of x^(l+j) mod f, for j in [0, l-2].
+        # x^l mod f = -(f - x^l) has degree s, so row j < l - s is it
+        # shifted up by j (one Toeplitz gather), and only the last s - 1
+        # rows fold their top coefficient back through row 0.
+        top = (-modulus[:l]) % q  # x^l mod f
+        s = int(np.flatnonzero(top)[-1]) if top.any() else 0
+        shifted = min(l - s, l - 1)
+        padded = np.concatenate([np.zeros(l, dtype=np.int64), top])
+        red = np.empty((max(l - 1, 0), l), dtype=np.int64)
+        red[:shifted] = padded[l + np.arange(l) - np.arange(shifted)[:, None]]
+        for j in range(shifted, l - 1):
+            red[j, 0] = 0
+            red[j, 1:] = red[j - 1, :-1]
+            red[j] = (red[j] + red[j - 1, -1] * top) % q
         self.reduction = red
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -526,15 +538,21 @@ def find_irreducible(q: int, l: int) -> tuple[int, ...]:
     """First monic irreducible polynomial of degree l over GF(q), in counting
     order of the non-leading coefficient vector (constant term fastest).
 
-    Candidates divisible by x or with a root in GF(q) are skipped; the rest
-    go through `_is_irreducible`, a distinct-degree sieve that tests f
-    coprime to the product of x^(q^d) - x mod f over a block of
-    `_SIEVE_BLOCK` degrees d at a time, up to d = l/2 (the batching of von
-    zur Gathen & Shoup, 1992).  A candidate fails as soon as one block finds
-    a factor, and the one that passes every block is irreducible, since a
-    reducible f has a factor of degree <= l/2; it is certified by Rabin's
-    criterion, x^(q^l) = x mod f with gcd(x^(q^(l/p)) - x, f) = 1 for every
-    prime p | l, whose gcds the sieve's blocks include.
+    Candidates are taken `_CHUNK` at a time, and `_FactorTable` rejects
+    those with an irreducible factor of degree at most D = `_table_degree`
+    (q, l) with one matrix product per chunk: small-factor removal before a
+    distinct-degree test (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, ch. 14).  Its degree-1 factors x - a, x included, cover the
+    candidates with a root in GF(q).  The rest go through `_is_irreducible`,
+    a distinct-degree sieve that tests f coprime to the product of
+    x^(q^d) - x mod f over a block of `_SIEVE_BLOCK` degrees d at a time, up
+    to d = l/2 (the batching of von zur Gathen & Shoup, 1992).  A candidate
+    fails as soon as one block finds a factor, and the one that passes every
+    block is irreducible, since a reducible f has a factor of degree <= l/2;
+    it is certified by Rabin's criterion, x^(q^l) = x mod f with
+    gcd(x^(q^(l/p)) - x, f) = 1 for every prime p | l, whose gcds the
+    sieve's blocks include.  The table only skips candidates the sieve
+    would reject, so the modulus is the first irreducible either way.
     """
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
@@ -542,14 +560,13 @@ def find_irreducible(q: int, l: int) -> tuple[int, ...]:
         raise ValueError("degree must be >= 1")
     if l == 1:
         return (0, 1)  # x itself; every monic linear polynomial is irreducible
-    for digits in _counting_order(q, l):
-        coeffs = np.array(digits + (1,), dtype=np.int64)
-        if coeffs[0] == 0:  # divisible by x
-            continue
-        if _has_root(coeffs, q):
-            continue
-        if _is_irreducible(coeffs, q, l):
-            return tuple(int(c) for c in coeffs)
+    table = _FactorTable(_small_irreducibles(q, _table_degree(q, l)), l + 1, q)
+    candidates = _counting_order(q, l)
+    while chunk := list(itertools.islice(candidates, _CHUNK)):
+        coeffs = np.array([digits + (1,) for digits in chunk], dtype=np.int64)
+        for f in coeffs[~table.divides(coeffs)]:
+            if _is_irreducible(f, q, l):
+                return tuple(int(c) for c in f)
     raise AssertionError("irreducible search exhausted the degree")
 
 
@@ -559,14 +576,97 @@ def _counting_order(q: int, l: int):
     return (digits[::-1] for digits in itertools.product(range(q), repeat=l))
 
 
-def _has_root(coeffs: np.ndarray, q: int) -> bool:
-    for c in range(q):
-        acc = 0
-        for a in coeffs[::-1]:
-            acc = (acc * c + int(a)) % q
-        if acc == 0:
-            return True
-    return False
+_CHUNK = 32  # candidates per small-factor product in `find_irreducible`
+_TABLE_WIDTH = 4  # coefficients of the small-factor table's irreducibles per degree l
+
+
+def _table_degree(q: int, l: int) -> int:
+    """The largest D <= l/2 whose monic irreducibles of degree 1 to D have
+    at most `_TABLE_WIDTH` l coefficients in all; 0 when even the q linear
+    ones have more (large q).  The N_d irreducibles of degree d have
+    d N_d = q^d - sum_{e | d, e < d} e N_e coefficients, as the roots of
+    x^(q^d) - x are the elements of the GF(q^e), e | d."""
+    width = {}  # d -> d N_d
+    total = D = 0
+    while D < l // 2:
+        d = D + 1
+        width[d] = q**d - sum(w for e, w in width.items() if d % e == 0)
+        total += width[d]
+        if total > _TABLE_WIDTH * l:
+            break
+        D = d
+    return D
+
+
+def _small_irreducibles(q: int, D: int) -> list[np.ndarray]:
+    """The monic irreducible polynomials of degree 1 to D over GF(q), by
+    degree and in counting order within one, by a sieve of Eratosthenes:
+    a monic polynomial of degree d is irreducible exactly when no
+    irreducible of degree <= d/2 divides it, which `_FactorTable` of the
+    ones found so far tests for every monic of degree d at once."""
+    found: list[np.ndarray] = []
+    for d in range(1, D + 1):
+        monic = np.ones((q**d, d + 1), dtype=np.int64)
+        monic[:, :d] = np.arange(q**d)[:, None] // q ** np.arange(d) % q
+        low = [p for p in found if p.size - 1 <= d // 2]
+        found += list(monic[~_FactorTable(low, d + 1, q).divides(monic)])
+    return found
+
+
+class _FactorTable:
+    """Which polynomials of degree < `rows` some polynomial of `polys`
+    divides, by one matrix product.
+
+    With D the largest degree in `polys`, column block k of the rows x D n
+    residue table W belongs to the monic p = polys[k] and holds x^i mod p,
+    padded with zeros to D coefficients, for i = 0 .. rows - 1.  For a
+    batch of coefficient rows F, F @ W mod q holds f mod p in block k, so a
+    block of zeros means p | f.  The product sums `rows` residue products,
+    so it is exact in float32 below 2^24 and in float64 below 2^53."""
+
+    def __init__(self, polys: Sequence[np.ndarray], rows: int, q: int):
+        bound = rows * (q - 1) ** 2
+        if polys and bound >= 2**53:
+            raise AssertionError(f"small-factor products of up to {bound} overflow float64")
+        dtype = np.float32 if bound < 2**24 else np.float64
+        degree = np.array([p.size - 1 for p in polys], dtype=np.int64)
+        n, D = len(polys), int(degree.max(initial=0))
+        self.q = q
+        self.starts = np.arange(n) * D
+        self.table = np.zeros((rows, n * D), dtype=dtype)
+        if not polys:
+            return
+        table = self.table.reshape(rows, n, D)  # a view: block k is table[:, k]
+        # Rows 0 .. D one step at a time: multiply by x, then cancel the
+        # coefficient at p's degree with p.
+        monic = np.zeros((n, D + 1), dtype=dtype)
+        for k, p in enumerate(polys):
+            monic[k, : p.size] = p
+        state = np.zeros_like(monic)
+        state[:, 0] = 1
+        known = min(rows, D + 1)
+        for i in range(known):
+            table[i] = state[:, :D]
+            state = np.roll(state, 1, axis=1)  # column D is 0, so this shifts up
+            state = reduce_residues(state - state[np.arange(n), degree, None] * monic, q)
+        # The rest in blocks that double the rows past D: with m = known - 1
+        # and c = x^m mod p, x^(m+i) mod p = sum_{a<D} c_a (x^(a+i) mod p),
+        # whose rows a + i are known for i <= known - D.  Each sum stays
+        # below `bound`.
+        while known < rows:
+            count = min(known - D, rows - known)
+            c = table[known - 1]
+            block = sum(c[:, a, None] * table[a + 1 : a + 1 + count] for a in range(D))
+            table[known : known + count] = reduce_residues(block, q)
+            known += count
+
+    def divides(self, coeffs: np.ndarray) -> np.ndarray:
+        """For each row of `coeffs` (`rows` residues each), whether some
+        polynomial of the table divides it."""
+        if not self.starts.size:
+            return np.zeros(len(coeffs), dtype=bool)
+        residues = reduce_residues(coeffs.astype(self.table.dtype) @ self.table, self.q)
+        return (np.maximum.reduceat(residues, self.starts, axis=1) == 0).any(axis=1)
 
 
 _SIEVE_BLOCK = 8  # Frobenius terms multiplied per coprimality check in `_is_irreducible`
@@ -608,15 +708,16 @@ def factor_field_order(q: int, l: int) -> tuple[int, ...]:
     q^l - 1 is first split into cyclotomic polynomial values prod_{d|l}
     Phi_d(q), and each (much smaller) piece is factored by `factorize` with
     its d, which trial-divides only in the residue class its primes lie in
-    and runs Pollard rho under a step budget (`ValueError` when a piece
-    does not split within it).  The result multiplies back to q^l - 1 and
-    every entry passes `is_prime`: a proof below 3.3e24, and above it a
-    strong-pseudoprime test to 36 bases (12 fixed, 24 derived from the
-    number), which is not a proof.
+    and runs Pollard rho; one `RhoBudget` of steps bounds all the pieces
+    together (`ValueError` when they do not split within it).  The result
+    multiplies back to q^l - 1 and every entry passes `is_prime`: a proof
+    below 3.3e24, and above it a strong-pseudoprime test to 36 bases (12
+    fixed, 24 derived from the number), which is not a proof.
     """
     out: list[int] = []
+    budget = RhoBudget()
     for d in divisors(l):
-        out += factorize(cyclotomic_value(d, q), d)
+        out += factorize(cyclotomic_value(d, q), d, budget=budget)
     out.sort()
     prod = 1
     for p in out:

@@ -11,7 +11,9 @@ Phi_d(q): its primes divide d or are 1 mod k (k = d for even d, 2d for odd
 d), so trial division runs over that residue class only and rho iterates
 y -> y^k + c (Brent & Pollard, 1981).  Rho stops after `_RHO_BUDGET` map
 steps with a `ValueError` naming the cofactor it could not split: a count
-of steps, not a clock, bounds every factorization.
+of steps, not a clock, bounds every factorization.  A `RhoBudget` passed
+to several calls is shared by them, so one budget bounds a whole field
+order.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ _MR_PROVEN_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _TRIAL_LIMIT = 100_000  # trial division stops below this
-_RHO_BUDGET = 1 << 20  # map steps per rho call: about 3 s at 130 bits and k = 256
+_RHO_BUDGET = 1 << 20  # map steps per budget: about 3 s at 130 bits and k = 256
 
 
 def is_prime(n: int) -> bool:
@@ -59,34 +61,41 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int, k: int) -> int:
+class RhoBudget:
+    """The Pollard rho map steps still allowed, `_RHO_BUDGET` at the start,
+    shared by every `factorize` call that is given this object."""
+
+    def __init__(self):
+        self.total = self.left = _RHO_BUDGET
+
+    def spend(self, count: int, n: int):
+        """Take `count` steps for the cofactor n, or raise `ValueError`
+        naming n when fewer are left."""
+        if count > self.left:
+            raise ValueError(f"Pollard rho found no factor of {n} within its "
+                             f"budget of {self.total} steps")
+        self.left -= count
+
+
+def _pollard_brent(n: int, k: int, budget: RhoBudget) -> int:
     """Nontrivial factor of an odd composite n (Brent's cycle finding) with
     the map y -> y^k + c, for c = 1, 2, ... in turn.
 
-    Every map step counts against `_RHO_BUDGET`, summed over the c tried;
-    a block of steps that would pass it raises `ValueError` naming n first,
-    so the result never depends on wall time."""
-    steps = 0
-
-    def spend(count):
-        nonlocal steps
-        steps += count
-        if steps > _RHO_BUDGET:
-            raise ValueError(f"Pollard rho found no factor of {n} within its "
-                             f"budget of {_RHO_BUDGET} steps")
-
+    Every map step is spent from `budget`, over all the c tried; a block of
+    steps that would pass it raises `ValueError` naming n first, so the
+    result never depends on wall time."""
     for c in itertools.count(1):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
             x = y
-            spend(r)
+            budget.spend(r, n)
             for _ in range(r):
                 y = (pow(y, k, n) + c) % n
             i = 0
             while i < r and g == 1:
                 ys = y
-                spend(min(m, r - i))
+                budget.spend(min(m, r - i), n)
                 for _ in range(min(m, r - i)):
                     y = (pow(y, k, n) + c) % n
                     q = q * abs(x - y) % n
@@ -96,14 +105,14 @@ def _pollard_brent(n: int, k: int) -> int:
         if g == n:
             g = 1
             while g == 1:
-                spend(1)
+                budget.spend(1, n)
                 ys = (pow(ys, k, n) + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
 
 
-def factorize(n: int, d: int = 1) -> list[int]:
+def factorize(n: int, d: int = 1, budget: RhoBudget | None = None) -> list[int]:
     """Prime factorization of n >= 1 as a sorted list with multiplicity.
 
     d >= 1 says where n's prime factors lie, for n a factor of the
@@ -116,11 +125,14 @@ def factorize(n: int, d: int = 1) -> list[int]:
     cycles are about sqrt(k) times shorter on primes 1 mod k (Brent &
     Pollard, 1981).  d = 1 is the odd-number loop and the map y^2 + c.
     Any d gives the same factorization of any n; a d that does not fit n
-    only costs time.  A cofactor that rho cannot split within
-    `_RHO_BUDGET` steps raises `ValueError`."""
+    only costs time.  Rho spends its steps from `budget`, a fresh
+    `RhoBudget` of `_RHO_BUDGET` steps when None, and a cofactor that it
+    cannot split within what is left raises `ValueError`."""
     if n < 1 or d < 1:
         raise ValueError("factorize expects n >= 1 and d >= 1")
     k = d if d % 2 == 0 else 2 * d
+    if budget is None:
+        budget = RhoBudget()
     # The divisors found, then the cofactor; each is prime or split below
     # (a 1 + jk that divides n is prime when d fits n).
     found: list[int] = []
@@ -140,7 +152,7 @@ def factorize(n: int, d: int = 1) -> list[int]:
             out.append(m)
             continue
         g = math.gcd(m, d)
-        f = g if 1 < g < m else _pollard_brent(m, k)
+        f = g if 1 < g < m else _pollard_brent(m, k, budget)
         found += [f, m // f]
     out.sort()
     return out

@@ -137,15 +137,43 @@ def test_find_irreducible_matches_exhaustive_factor_check():
     assert acc.is_zero()
 
 
-# the fields the block sieve is checked on: l = 16 to 128, at q = 2 to 13
-ORACLE_FIELDS = [(2, 64), (2, 128), (3, 32), (3, 64), (3, 81), (3, 128), (5, 32), (5, 64),
-                 (7, 27), (7, 64), (13, 16), (13, 64)]
+# the fields the search is checked on: l = 16 to 128 at q = 2 to 13, the
+# small degrees the table decides alone, and two fields whose q linear
+# factors alone pass the table's column budget
+ORACLE_FIELDS = [(2, 2), (3, 2), (5, 3), (2, 64), (2, 128), (3, 32), (3, 64), (3, 81), (3, 128),
+                 (5, 32), (5, 64), (7, 27), (7, 64), (13, 16), (13, 64), (257, 4), (65537, 2)]
 
 
 @pytest.mark.parametrize("q,l", ORACLE_FIELDS, ids=[f"{q}^{l}" for q, l in ORACLE_FIELDS])
 def test_find_irreducible_matches_per_degree_oracle(q, l):
     # the blocked sieve picks the same modulus as one gcd per degree
     assert find_irreducible(q, l) == next(irreducibles(q, l))
+
+
+def test_find_irreducible_pinned_large_degrees():
+    # l = 243 and 256, where the search takes 70 and 32 candidates to the sieve
+    assert find_irreducible(3, 243) == (1, 0, 0, 1, 0, 1, 1) + (0,) * 236 + (1,)
+    assert find_irreducible(3, 256) == (2, 0, 2, 1, 1, 1) + (0,) * 250 + (1,)
+
+
+@pytest.mark.parametrize("q", [2, 3, 13])
+@pytest.mark.parametrize("s", [0, 1, 8, 15])
+def test_reduction_table_matches_division(q, s):
+    # row j of the reduction table is x^(l+j) mod f, for f - x^l of degree
+    # s = 0, 1, l/2 and l - 1: rows j < l - s are one gather, the rest the
+    # recurrence
+    l = 16
+    rng = random.Random(100 * q + s)
+    f = np.zeros(l + 1, dtype=np.int64)
+    f[:s] = [rng.randrange(q) for _ in range(s)]
+    f[s], f[l] = rng.randrange(1, q), 1
+    red = gf._QuotientRing(q, f).reduction
+    assert red.shape == (l - 1, l)
+    for j in range(l - 1):
+        power = np.zeros(l + j + 1, dtype=np.int64)
+        power[-1] = 1
+        rem = field_oracle.poly_divmod(power, f, q)[1]
+        assert np.array_equal(red[j], np.pad(rem, (0, l - rem.size))), j
 
 
 @pytest.mark.parametrize("d", [5, 8, 9, 16, 20])
@@ -352,6 +380,72 @@ def test_certification_products(monkeypatch, q, l, most):
     monkeypatch.setattr(gf._QuotientRing, "mul", lambda self, u, v: calls.append(1) or mul(self, u, v))
     assert find_primitive_element(field) == field.zeta
     assert len(calls) <= most, len(calls)
+
+
+def test_table_degree_and_width():
+    # the irreducibles of degree <= D have at most `_TABLE_WIDTH` l
+    # coefficients in all, those of degree <= D + 1 would not (or D = l/2);
+    # past the budget D = 0
+    for q, l in ORACLE_FIELDS + [(3, 243), (3, 256), (65537, 4)]:
+        D = gf._table_degree(q, l)
+        if D:
+            polys = gf._small_irreducibles(q, D)
+            assert sum(p.size - 1 for p in polys) <= gf._TABLE_WIDTH * l
+        if D < l // 2:
+            more = sum(d * len(list(oracle_irreducibles(q, d))) for d in range(1, D + 2))
+            assert more > gf._TABLE_WIDTH * l, (q, l)
+    assert gf._table_degree(257, 4) == gf._table_degree(65537, 2) == 0
+    assert gf._table_degree(3, 128) == 5 and gf._table_degree(13, 64) == 2
+
+
+def oracle_irreducibles(q, d):
+    """Every monic irreducible of degree d >= 1 in counting order: the q
+    linear ones x + a, or `field_oracle.irreducibles`."""
+    if d == 1:
+        return [(a, 1) for a in range(q)]
+    return list(irreducibles(q, d))
+
+
+# every field with l >= 2 whose modulus the suite searches for, here or
+# through `GF` in the other test files
+SEARCH_FIELDS = [(2, 2), (2, 3), (2, 5), (2, 8), (2, 16), (2, 32), (2, 64), (2, 128), (3, 2),
+                 (3, 3), (3, 4), (3, 8), (3, 9), (3, 16), (3, 32), (3, 64), (3, 72), (3, 81),
+                 (3, 128), (3, 243), (3, 256), (5, 2), (5, 3), (5, 4), (5, 8), (5, 16), (5, 32),
+                 (5, 64), (7, 2), (7, 8), (7, 27), (7, 32), (7, 48), (7, 64), (13, 2), (13, 4),
+                 (13, 8), (13, 16), (13, 36), (13, 64), (257, 4), (4099, 2), (65537, 2),
+                 (65537, 4)]
+
+
+@pytest.mark.parametrize("q,D", sorted({(q, gf._table_degree(q, l)) for q, l in SEARCH_FIELDS}))
+def test_small_irreducibles_match_oracle(q, D):
+    # the table's sieve of Eratosthenes finds exactly the irreducibles of
+    # each degree <= D, in counting order
+    polys = [tuple(int(c) for c in p) for p in gf._small_irreducibles(q, D)]
+    assert polys == [p for d in range(1, D + 1) for p in oracle_irreducibles(q, d)]
+
+
+@pytest.mark.parametrize("q,l,count,dtype", [(2, 64, 60, np.float32), (3, 128, 60, np.float32),
+                                             (13, 64, 60, np.float32), (367, 128, 12, np.float64)])
+def test_factor_table_matches_division(q, l, count, dtype):
+    # `divides` says whether some small irreducible leaves remainder 0 on
+    # seeded monic candidates, products of small factors among them; at
+    # (367, 128) the products pass 2^24 and run in float64
+    polys = gf._small_irreducibles(q, gf._table_degree(q, l))
+    table = gf._FactorTable(polys, l + 1, q)
+    assert table.table.dtype == dtype
+    rng = random.Random(q * l)
+    rows = []
+    for _ in range(count):
+        f = np.array([rng.randrange(q) for _ in range(l)] + [1], dtype=np.int64)
+        if rng.random() < 0.3:
+            p = rng.choice(polys)
+            g = np.array([rng.randrange(q) for _ in range(l - p.size + 1)] + [1], dtype=np.int64)
+            f = poly_mul(p, g, q)
+        rows.append(f)
+    coeffs = np.stack(rows)
+    expected = [any(field_oracle.poly_divmod(f, p, q)[1].size == 0 for p in polys) for f in rows]
+    assert table.divides(coeffs).tolist() == expected
+    assert True in expected and False in expected
 
 
 def test_primitive_element_small_cases():

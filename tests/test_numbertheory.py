@@ -4,6 +4,7 @@ import re
 import pytest
 
 from rackrepair import numbertheory
+from rackrepair.gf import factor_field_order
 from rackrepair.numbertheory import cyclotomic_value, divisors, factorize, is_prime
 
 
@@ -97,6 +98,21 @@ def test_factorize_budget_counts_steps(monkeypatch):
     with pytest.raises(ValueError, match="budget of 40 steps") as info:
         factorize(n, 32)
     assert int(re.search(r"factor of (\d+)", str(info.value)).group(1)) == 441281 * 283763713
+
+
+def test_factor_field_order_shares_one_budget(monkeypatch):
+    # 13^52 - 1: rho splits 264031 * 1803647 of Phi_13(13) and
+    # 380329 * 1418792215861230619657 of Phi_52(13) in 126 steps each, so
+    # a budget of 200 covers either piece but not the field
+    monkeypatch.setattr(numbertheory, "_RHO_BUDGET", 200)
+    assert factorize(cyclotomic_value(13, 13), 13) == [53, 264031, 1803647]
+    assert factorize(cyclotomic_value(52, 13), 52) == [380329, 1418792215861230619657]
+    with pytest.raises(ValueError, match=f"no factor of {380329 * 1418792215861230619657} "
+                                         "within its budget of 200 steps"):
+        factor_field_order(13, 52)
+    budget = numbertheory.RhoBudget()
+    factorize(cyclotomic_value(13, 13), 13, budget=budget)
+    assert budget.left == 200 - 126
 
 
 def test_divisors():
