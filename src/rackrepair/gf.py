@@ -7,6 +7,13 @@ modulus, which Newton's identities give from its coefficients.  tr(a b) is
 a.vec @ T @ b.vec, and the dual of a basis with coefficient rows Z comes
 from one inverse of Z T.
 
+Linear algebra over B has one kernel, `_rref`: Gauss-Jordan elimination
+with delayed reduction (each column reduced mod q when the scan reaches it,
+the rest once at the end) and no row swaps, in int32 whenever its asserted
+bound allows.  `rank_over_base` and `dual_basis` both read its reduced row
+echelon form, and the dual basis's two products are float64 matrix
+products, exact below 2^53.
+
 An element of F is a length-l vector of residues mod q, lowest-degree
 coefficient first, reduced modulo a monic irreducible polynomial.  Field
 construction is fully deterministic: the modulus is the first irreducible
@@ -19,7 +26,9 @@ The modulus search rejects most candidates without building their
 quotient ring: one matrix product per block of candidates with a table of
 x^i mod p, for every small irreducible p, finds the candidates with a small
 factor (a root included), and only the rest go through the distinct-degree
-sieve and Rabin's criterion.
+sieve and Rabin's criterion.  The sieve's ring products, weighted by l^2,
+are spent from one budget per search, so a degree whose search cannot
+finish within it is refused with `ValueError`.
 
 Large powers use the Frobenius map a -> a^q, which is B-linear: each field
 holds one l x l residue matrix Q with Q a = a^q, and a^e is Horner's rule on
@@ -137,31 +146,50 @@ class _QuotientRing:
 # read its reduced row echelon form
 # ---------------------------------------------------------------------------
 
+def _rref_dtype(rows: int, q: int):
+    """The dtype `_rref` reduces a matrix of `rows` rows over GF(q) in: its
+    entries stay below rows (q-1)^2 + q in absolute value, so int32 below
+    2^31 and int64 otherwise; `MAX_Q` and `MAX_L` keep the bound below 2^45,
+    and one of 2^63 or more raises `AssertionError`."""
+    bound = rows * (q - 1) ** 2 + q
+    if bound >= 2**63:
+        raise AssertionError(f"elimination entries of up to {bound} overflow int64")
+    return np.int32 if bound < 2**31 else np.int64
+
+
 def _rref(mat: np.ndarray, q: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form of `mat` over GF(q) by Gauss-Jordan
-    elimination, with its pivot columns in increasing order.  The scan stops
-    once every row has a pivot: no later column can hold one."""
-    R = mat % q
-    rows, cols = R.shape
-    pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
+    elimination, as int64 residues, with its pivot columns in increasing
+    order.  The scan stops once every row has a pivot: no later column can
+    hold one.
+
+    Reduction is delayed, as in FFLAS-FFPACK (Dumas, Giorgi & Pernet, 2008).
+    Each column is reduced mod q when the scan reaches it, which finds the
+    pivot and the multipliers; the pivot row is reduced and scaled to a
+    leading 1, and every other row nonzero in the column subtracts its
+    multiple of it with no `% q`.  A row takes at most one update per pivot,
+    each of at most (q-1)^2, which gives `_rref_dtype` its bound; one `% q`
+    at the end reduces the rest.  Rows are not swapped: a mask keeps the
+    rows not yet used as pivots, and the pivot rows are gathered in pivot
+    order at the end, above the others (all 0 mod q).  The reduced form is
+    unique, so neither the dtype nor the choice of pivot rows changes it."""
+    R = (mat % q).astype(_rref_dtype(len(mat), q))
+    free = np.ones(len(R), dtype=bool)
+    pivot_row: dict[int, int] = {}  # pivot column -> its row, in pivot order
+    for c in range(R.shape[1]):
+        if len(pivot_row) == len(R):
             break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
+        col = R[:, c] % q
+        nz = col != 0
+        p = int((nz & free).argmax())
+        if not (nz[p] and free[p]):
             continue
-        p = r + int(nz[0])
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-        # row r is zero left of c, so only columns c onwards change
-        R[r, c:] = R[r, c:] * pow(int(R[r, c]), -1, q) % q
-        others = np.nonzero(R[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            R[others, c:] = (R[others, c:] - np.outer(R[others, c], R[r, c:])) % q
-        pivots.append(c)
-    return R, tuple(pivots)
+        nz[p] = free[p] = False
+        # row p is 0 mod q left of c, so only columns c onwards change
+        prow = R[p, c:] = R[p, c:] % q * pow(int(col[p]), -1, q) % q
+        R[nz, c:] -= col[nz, None] * prow
+        pivot_row[c] = p
+    return (R[[*pivot_row.values(), *np.flatnonzero(free)]] % q).astype(np.int64), tuple(pivot_row)
 
 
 @dataclass(frozen=True)
@@ -492,18 +520,20 @@ class ExtensionField:
         [ZT | I] with `_rref` gives pivots 0..l-1 exactly when the input is a
         basis (otherwise this raises), and the right block is then ZT^-1,
         copied out so the l x 2l reduction is not kept alive.  The Kronecker
-        condition is re-verified exactly before returning.
+        condition ZT mu^T = I is re-verified exactly before returning.  Both
+        products are float64 matrix products, each reduced once: their sums
+        of l residue products stay below l (q-1)^2 <= 2^44 < 2^53, so they
+        are exact.
         """
-        l = self.l
+        l, q = self.l, self.q
         if len(basis) != l:
             raise ValueError(f"need exactly {l} basis elements")
-        Z = np.stack([self._check(b).vec for b in basis])
-        ZT = Z @ self._trace_form % self.q
-        R, pivots = _rref(np.concatenate([ZT, np.eye(l, dtype=np.int64)], axis=1), self.q)
+        ZT = np.stack([self._check(b).vec for b in basis]) @ self._trace_form.astype(np.float64) % q
+        R, pivots = _rref(np.concatenate([ZT, np.eye(l)], axis=1), q)
         if pivots != tuple(range(l)):
             raise ValueError("basis is rank deficient over the base field")
         mu = R[:, l:].T.copy()
-        if not np.array_equal(ZT @ mu.T % self.q, np.eye(l, dtype=np.int64)):
+        if not np.array_equal(ZT @ mu.T % q, np.eye(l)):
             raise AssertionError("dual basis failed the Kronecker condition")
         return mu
 
@@ -553,6 +583,10 @@ def find_irreducible(q: int, l: int) -> tuple[int, ...]:
     gcd(x^(q^(l/p)) - x, f) = 1 for every prime p | l, whose gcds the
     sieve's blocks include.  The table only skips candidates the sieve
     would reject, so the modulus is the first irreducible either way.
+
+    The sieve's ring products are spent from one `_SearchBudget`, so a
+    search too large to finish raises `ValueError` naming l, on work done
+    and never on wall time.
     """
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
@@ -560,12 +594,13 @@ def find_irreducible(q: int, l: int) -> tuple[int, ...]:
         raise ValueError("degree must be >= 1")
     if l == 1:
         return (0, 1)  # x itself; every monic linear polynomial is irreducible
+    budget = _SearchBudget(q, l)
     table = _FactorTable(_small_irreducibles(q, _table_degree(q, l)), l + 1, q)
     candidates = _counting_order(q, l)
     while chunk := list(itertools.islice(candidates, _CHUNK)):
         coeffs = np.array([digits + (1,) for digits in chunk], dtype=np.int64)
         for f in coeffs[~table.divides(coeffs)]:
-            if _is_irreducible(f, q, l):
+            if _is_irreducible(f, q, l, budget):
                 return tuple(int(c) for c in f)
     raise AssertionError("irreducible search exhausted the degree")
 
@@ -670,9 +705,37 @@ class _FactorTable:
 
 
 _SIEVE_BLOCK = 8  # Frobenius terms multiplied per coprimality check in `_is_irreducible`
+_SEARCH_BUDGET = 1 << 32  # l^2-weighted ring products per modulus search, 16 times GF(3^243)'s
 
 
-def _is_irreducible(coeffs: np.ndarray, q: int, l: int) -> bool:
+class _SearchBudget:
+    """The ring products of degree l that one modulus search over GF(q) may
+    still take, each weighted by l^2 (its coefficient products, up to a
+    constant), out of `_SEARCH_BUDGET`.
+
+    A Frobenius step h -> h^q mod f is `step` products, the squarings and
+    products of square-and-multiply by q.  The irreducible the search
+    returns takes l of them, so a budget that cannot pay for those raises
+    at once; otherwise `spend` raises when the products counted so far
+    pass the budget.  Either way the `ValueError` names l."""
+
+    def __init__(self, q: int, l: int):
+        self.q, self.l, self.left = q, l, _SEARCH_BUDGET
+        self.step = q.bit_length() - 1 + q.bit_count() - 1
+        self.spend(0, reserve=self.step * l)
+
+    def spend(self, products: int, reserve: int = 0):
+        """Take `products` ring products, or raise `ValueError` when they,
+        and `reserve` more, are more than the budget has left."""
+        self.left -= products * self.l**2
+        if self.left < reserve * self.l**2:
+            raise ValueError(f"no irreducible polynomial of degree l = {self.l} over "
+                             f"GF({self.q}) within the search budget of {_SEARCH_BUDGET} "
+                             "coefficient products")
+
+
+def _is_irreducible(coeffs: np.ndarray, q: int, l: int,
+                    budget: _SearchBudget | None = None) -> bool:
     """Whether the monic f = `coeffs` of degree l >= 2 is irreducible over
     GF(q), by a distinct-degree sieve with one coprimality check per block.
 
@@ -685,19 +748,25 @@ def _is_irreducible(coeffs: np.ndarray, q: int, l: int) -> bool:
     it, and every reducible f has a factor of degree <= l/2.  A product that
     is 0 mod f is not coprime to f.  The last l - l/2 Frobenius steps check
     x^(q^l) = x, which completes Rabin's criterion (its d = l/p checks are
-    among the sieve's)."""
+    among the sieve's).  Each degree of the sieve spends its Frobenius step
+    and one product (its term's, or its share of the coprimality check)
+    from `budget`, and each later step its Frobenius step; a fresh
+    `_SearchBudget` is used when none is given."""
+    budget = budget or _SearchBudget(q, l)
     ring = _QuotientRing(q, coeffs)
     x = np.zeros(l, dtype=np.int64)
     x[1] = 1
     h = x
     half = l // 2
     for d in range(1, half + 1):
+        budget.spend(budget.step + 1)
         h = ring.pow(h, q)
         term = (h - x) % q
         prod = term if (d - 1) % _SIEVE_BLOCK == 0 else ring.mul(prod, term)
         if (d % _SIEVE_BLOCK == 0 or d == half) and not _coprime(prod, coeffs, q):
             return False
     for _ in range(l - half):
+        budget.spend(budget.step)
         h = ring.pow(h, q)
     return bool(np.array_equal(h, x))
 

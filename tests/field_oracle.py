@@ -14,6 +14,10 @@ Polynomials are 1-d int64 arrays, lowest degree first.
 division by the 15 primes to 47 and every odd number from 53 up to 100,000,
 then Pollard-Brent rho with y^2 + c and no step budget, behind its own
 strong-pseudoprime test.  It never reads `rackrepair.numbertheory`.
+
+`rref` is the reference for `gf._rref`: plain Gauss-Jordan elimination in
+int64 with row swaps and a `% q` of the whole updated block at every pivot,
+the elimination `gf._rref` used before its reduction was delayed.
 """
 
 import itertools
@@ -197,3 +201,34 @@ def factorize(n):
         f = rho_factor(m)
         stack += [f, m // f]
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# row reduction
+# ---------------------------------------------------------------------------
+
+def rref(mat: np.ndarray, q: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form of `mat` over GF(q) by Gauss-Jordan
+    elimination, with its pivot columns in increasing order.  The scan stops
+    once every row has a pivot: no later column can hold one."""
+    R = mat % q
+    rows, cols = R.shape
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            R[[r, p]] = R[[p, r]]
+        # row r is zero left of c, so only columns c onwards change
+        R[r, c:] = R[r, c:] * pow(int(R[r, c]), -1, q) % q
+        others = np.nonzero(R[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            R[others, c:] = (R[others, c:] - np.outer(R[others, c], R[r, c:])) % q
+        pivots.append(c)
+    return R, tuple(pivots)

@@ -6,7 +6,7 @@ import pytest
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from bench_pairs import attempted_medians, main, summarize  # noqa: E402
+from bench_pairs import attempted_medians, main, src_sha256, summarize  # noqa: E402
 
 
 def _runs(values):
@@ -211,3 +211,27 @@ def test_timed_out_run_keeps_finished_pairs(tmp_path, capsys, monkeypatch):
     assert [[r["seed"] for r in entry["runs"][side]] for side in ("base", "change")] == [[1], [1]]
     assert entry["failed_run"] == {"side": "change", "pair": 1, "seed": 2, "returncode": None,
                                    "stderr_tail": "setting up\nstuck"}
+
+
+def test_src_sha256_names_the_source(tmp_path):
+    # two exported copies (no git, so git_sha is "unknown") are told apart
+    # by the SHA-256 of their src/ trees; equal sources read the same, and
+    # bytecode caches do not count
+    base = _stub_checkout(tmp_path / "base", MALFORMED_RUN.format(stdout='""'))
+    change = _stub_checkout(tmp_path / "change", MALFORMED_RUN.format(stdout='""'))
+    for side, body in ((base, "x = 1\n"), (change, "x = 2\n")):
+        (side / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+        (side / "src" / "pkg" / "mod.py").write_text(body)
+    (change / "src" / "pkg" / "__pycache__" / "mod.pyc").write_bytes(b"cached")
+    out = tmp_path / "BENCH.json"
+    assert main(["--base", str(base), "--change", str(change), "--workload", "w",
+                 "--seeds", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["git_sha"] == {"base": "unknown", "change": "unknown"}
+    shas = doc["src_sha256"]
+    assert shas == {"base": src_sha256(base), "change": src_sha256(change)}
+    assert len(shas["base"]) == 64 and shas["base"] != shas["change"]
+    (change / "src" / "pkg" / "mod.py").write_text("x = 1\n")
+    assert src_sha256(change) == shas["base"]
+    (change / "src" / "pkg" / "mod.py").rename(change / "src" / "pkg" / "other.py")
+    assert src_sha256(change) != shas["base"]  # a path counts, not only bytes

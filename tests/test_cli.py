@@ -248,6 +248,17 @@ def test_main_factoring_budget_exit_2(monkeypatch, capsys):
                    f"{441281 * 283763713} within its budget of 40 steps\n")
 
 
+def test_main_modulus_search_budget_exit_2(capsys):
+    # l = 1296 is within the field limits, but the modulus search cannot
+    # certify an irreducible of that degree within its budget: status 2 and
+    # one line naming l, before any candidate is tried
+    code = main(["build", "--mode", "Cor7", "--q", "3", "--u", "2", "--rbar", "7", "--nbar", "8"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "invalid parameters: no irreducible polynomial of degree l = 1296 over GF(3) "
+        "within the search budget of 4294967296 coefficient products\n")
+
+
 def test_main_report_write_error_exit_2(tmp_path, monkeypatch, capsys):
     # an OSError while the report is written is one line, not a traceback
     def unwritable(path, mode="r"):

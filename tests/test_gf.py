@@ -156,6 +156,29 @@ def test_find_irreducible_pinned_large_degrees():
     assert find_irreducible(3, 256) == (2, 0, 2, 1, 1, 1) + (0,) * 250 + (1,)
 
 
+def test_search_budget(monkeypatch):
+    # the sieve spends its ring products, each weighted by l^2, from one
+    # budget per search: an irreducible candidate of degree 64 over GF(3)
+    # takes 32 sieve degrees of a Frobenius step (2 products) and one
+    # product, then 32 more Frobenius steps
+    f = find_irreducible(3, 64)
+    budget = gf._SearchBudget(3, 64)
+    assert budget.step == 2 and budget.left == gf._SEARCH_BUDGET
+    assert gf._is_irreducible(np.array(f), 3, 64, budget)
+    assert gf._SEARCH_BUDGET - budget.left == (32 * 3 + 32 * 2) * 64**2
+    assert gf._SearchBudget(13, 1).step == 5 and gf._SearchBudget(2, 1).step == 1
+    # a budget that cannot pay for the answer's own l Frobenius steps is
+    # refused before any candidate; one that runs out midway raises too
+    monkeypatch.setattr(gf, "_SEARCH_BUDGET", 2 * 64**3 - 1)
+    with pytest.raises(ValueError, match=r"^no irreducible polynomial of degree l = 64 over "
+                                         r"GF\(3\) within the search budget of 524287 "):
+        gf._SearchBudget(3, 64)
+    monkeypatch.setattr(gf, "_SEARCH_BUDGET", 10**6)
+    gf._SearchBudget(3, 64)
+    with pytest.raises(ValueError, match=r"degree l = 64 over GF\(3\) within the search budget of 1000000"):
+        find_irreducible(3, 64)
+
+
 @pytest.mark.parametrize("q", [2, 3, 13])
 @pytest.mark.parametrize("s", [0, 1, 8, 15])
 def test_reduction_table_matches_division(q, s):

@@ -22,7 +22,10 @@ Directions ("better") and bounds also come from the base's BENCHMARK.json.
 Each workload also records each side's median number of operations
 attempted per run, so a metric that grows with the work a run completes,
 such as `peak_rss_mb`, can be read against it.
-`--workload` may be given more than once.
+`--workload` may be given more than once.  Next to each side's `git_sha`
+(`unknown` outside a git checkout, as in an exported copy), the file
+records `src_sha256`, a SHA-256 of the side's `src/` tree, so the source
+each side ran is named either way.
 
 A run that exits non-zero, exits 0 with a first or last stdout line that
 is not the expected JSON, or is still running after ten times `run_seconds`
@@ -35,6 +38,7 @@ malformed), the same is printed, and the exit status is 1.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -81,6 +85,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 def git_sha(checkout: Path) -> str:
     got = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
     return got.stdout.strip() if got.returncode == 0 else "unknown"
+
+
+def src_sha256(checkout: Path) -> str:
+    """SHA-256 over the files of the checkout's `src/` tree, in path order:
+    each file's path relative to `src/` and the SHA-256 of its bytes.
+    `__pycache__` directories are skipped, so running the code does not
+    change it."""
+    src, digest = checkout / "src", hashlib.sha256()
+    for path in sorted(src.rglob("*")):
+        rel = path.relative_to(src)
+        if path.is_file() and "__pycache__" not in rel.parts:
+            digest.update(rel.as_posix().encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
 
 
 def attempted_medians(runs: dict[str, list[dict]]) -> dict[str, float]:
@@ -150,7 +167,8 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
 
     doc = {"pairs": len(seeds), "seconds": seconds, "seeds": seeds,
-           "git_sha": {side: git_sha(path) for side, path in sides.items()}, "workloads": {}}
+           "git_sha": {side: git_sha(path) for side, path in sides.items()},
+           "src_sha256": {side: src_sha256(path) for side, path in sides.items()}, "workloads": {}}
     for workload in args.workload:
         runs = {"base": [], "change": []}
         for i, seed in enumerate(seeds):
