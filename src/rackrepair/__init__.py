@@ -7,9 +7,12 @@ bandwidth bound exactly.
 """
 
 from .constructions import (
+    BoundSet,
     CodeInstance,
+    RankCheck,
     RepairScheme,
     SchemeParams,
+    bounds,
     build,
     c1_params,
     c2_params,
@@ -30,15 +33,12 @@ from .gf import (
 from .radix import RadixSystem, index_set
 from .repair import (
     AuditResult,
-    BandwidthReport,
-    BoundSet,
     RackMessage,
     RepairError,
     RepairSession,
     RepairTranscript,
     audit,
-    bounds,
 )
-from .rs import CodeSpec, dual_weights, encode, erasure_decode, poly_eval
+from .rs import CodeSpec, dual_weights, encode, erasure_decode
 
 __all__ = [name for name in dir() if not name.startswith("_")]

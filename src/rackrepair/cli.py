@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .constructions import (
+    BoundSet,
     CodeInstance,
     SchemeParams,
     build,
@@ -30,7 +31,7 @@ from .constructions import (
     homogeneous_params,
     verify_rank_condition,
 )
-from .repair import BoundSet, RepairError, RepairSession, RepairTranscript, audit, bounds
+from .repair import RepairError, RepairSession, RepairTranscript, audit
 from .rs import encode
 
 CSV_HEADER = "mode,q,u,nbar,rbar,rbar_eff,l,rack,node,b,b_min,upper,case,ratio,repair_ok,rank_ok"
@@ -118,15 +119,14 @@ def rows_for_instance(
     rows = []
     for node in range(1, params.n + 1):
         check = verify_rank_condition(instance, node)
-        bset = bounds(params, node)
         repair_ok = "false"
         if check.ok:
             session = RepairSession(instance, check.scheme)
             runs = sum(1 for _ in audited_repairs(session, trials, rng))
             repair_ok = "true" if runs else "skipped"
         rows.append(ReportRow(
-            params=params, rack=check.scheme.rack, node=node, b=check.b, bounds=bset,
-            ratio=Fraction(check.b) / bset.b_min, repair_ok=repair_ok, rank_ok=check.ok,
+            params=params, rack=check.scheme.rack, node=node, b=check.b, bounds=check.bounds,
+            ratio=check.ratio, repair_ok=repair_ok, rank_ok=check.ok,
         ))
     return rows
 

@@ -16,7 +16,9 @@ picks every family: rack e's index set is the t in [0, l) whose
 m consecutive digits of the instance's radix system vanish, starting at
 position e and wrapping past the last position.  Every generated family is a
 set of monomials g_(t,s)(x) = zeta^(ut) x^(us); the rank-l repair condition
-is verified, never assumed.
+is verified, never assumed, and the check of a node's rack (`RankCheck`) is
+also the node's bandwidth report: helper ranks, their sum b, the
+construction's `bounds` and b / b_min.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from math import prod
 
 import numpy as np
@@ -67,16 +70,11 @@ def _scheme(mode: str, q: int, u: int, nbar: int, rbar: int, bases: tuple[int, .
     p_1 ... p_m and l = rbar_eff^nprime p_1 ... p_h.  The code's dimension
     is k = (nbar - rbar) u + v; when rbar_eff != rbar the repair family is
     the one for k' = (nbar - rbar_eff) u + v.  Refuses, before any field is
-    built, bad integers, nprime < 2, a field beyond `check_field_size`, and
-    a rack whose digit window has no index set (`radix.window`)."""
+    built, bad layout integers, then a field beyond `check_field_size` (l
+    formed only below 2^64), and only then a q that is not prime, bad u or
+    v, and a rack whose digit window has no index set (`radix.window`)."""
     if rbar < 2:
         raise ValueError("need rbar >= 2")
-    if not is_prime(q):
-        raise ValueError(f"q = {q} must be prime")
-    if u < 1 or (q - 1) % u != 0:
-        raise ValueError(f"u = {u} must be a positive divisor of q - 1 = {q - 1}")
-    if not 0 <= v <= u - 1:
-        raise ValueError(f"v = {v} must lie in [0, {u - 1}]")
     if nbar - rbar < 1:
         raise ValueError("need nbar - rbar >= 1")
     m = len(bases)
@@ -84,8 +82,15 @@ def _scheme(mode: str, q: int, u: int, nbar: int, rbar: int, bases: tuple[int, .
     if nprime < 2:
         raise ValueError("need floor(nbar / m) >= 2")
     rbar_eff = prod(bases)
-    l = rbar_eff**nprime * prod(bases[:h])
-    check_field_size(q, l)
+    l_floor = nprime * (rbar_eff.bit_length() - 1)  # l >= 2^l_floor
+    l = rbar_eff**nprime * prod(bases[:h]) if l_floor < 64 else None
+    check_field_size(q, l, l_floor)
+    if not is_prime(q):
+        raise ValueError(f"q = {q} must be prime")
+    if u < 1 or (q - 1) % u != 0:
+        raise ValueError(f"u = {u} must be a positive divisor of q - 1 = {q - 1}")
+    if not 0 <= v <= u - 1:
+        raise ValueError(f"v = {v} must lie in [0, {u - 1}]")
     radices = multi_base_radices(bases, nbar)
     for e in range(1, nbar + 1):
         window(radices, e, m)
@@ -202,6 +207,57 @@ def rack_wy(params: SchemeParams, rack: int) -> tuple[int, int]:
     return (rack - 1) // params.m, (rack - 1) % params.m + 1
 
 
+@dataclass(frozen=True)
+class BoundSet:
+    """Cut-set lower bound, the applicable upper bound (if any), its case
+    tag, and whether the upper bound is a theorem for these parameters or
+    informational only."""
+
+    b_min: Fraction
+    upper: Fraction | None
+    case: str
+    enforced: bool
+
+    def violations(self, b: int) -> tuple[str, ...]:
+        """One finding per bound that bandwidth b breaks: the cut-set bound
+        always, the upper bound only where it is enforced."""
+        out = []
+        if b < self.b_min:
+            out.append(f"cut-set bound violated: b = {b} < {self.b_min}")
+        if self.enforced and self.upper is not None and b >= self.upper:
+            out.append(f"upper bound violated: b = {b} >= {self.upper} (case {self.case})")
+        return tuple(out)
+
+
+def bounds(params: SchemeParams, node: int) -> BoundSet:
+    """Bound set for repairing `node`: always the cut-set bound, plus the
+    mode- and case-specific upper bound.
+
+    Basic modes use the single (nbar+1)l/rbar bound.  Multi-base modes pick
+    the case by the failed rack's block index w (the w <= nprime - 3 formula
+    is applied down to w = 0).  The prime-rbar adaptation computes the upper
+    bound with rbar' = rbar - 1 but keeps the true rbar in the cut-set bound.
+    Upper bounds are enforced only where they are theorems: basic modes, and
+    multi-base modes with no remainder block.
+    """
+    rack = (node - 1) // params.u + 1
+    l = params.l
+    b_min = Fraction((params.nbar - 1) * l, params.rbar)
+    if params.mode in ("C1", "homogeneous"):
+        return BoundSet(b_min, Fraction((params.nbar + 1) * l, params.rbar), "thm8", True)
+    re = params.rbar_eff
+    w, _ = rack_wy(params, rack)
+    if w <= params.nprime - 3:
+        case, num = "i", (params.nbar - 1) + 3 * re + 3 * params.m + 1
+    elif w == params.nprime - 2:
+        case, num = "ii", (params.nbar - 1) + (params.m + 3) * re + 4
+    elif w == params.nprime - 1:
+        case, num = "iii", (params.nbar - 1) + (params.m + 1) * re + 2
+    else:  # remainder rack beyond the full blocks: no case formula exists
+        return BoundSet(b_min, None, "n/a", False)
+    return BoundSet(b_min, Fraction(num * l, re), case, params.h == 0)
+
+
 # ---------------------------------------------------------------------------
 # repair families
 # ---------------------------------------------------------------------------
@@ -245,11 +301,11 @@ def repair_family(instance: CodeInstance, node: int) -> RepairScheme:
 
 @dataclass(frozen=True)
 class RankCheck:
-    """A rack's rank check and the repair plan it compiles: (rack, basis,
-    payload map P_e) per helper rack, `b` the sum of their ranks, and the
-    decoder of the rack's first node (None below rank l); the plan's algebra
-    is `repair.RepairSession`'s.  Equality compares `ok`, `rank` and
-    `scheme` only."""
+    """A rack's rank check, its repair plan and its nodes' bandwidth report:
+    (rack, basis, payload map P_e) per helper rack, `b` the sum of their
+    ranks with its `bounds` and `ratio` b / b_min, and the decoder of the
+    rack's first node (None below rank l); the plan's algebra is
+    `repair.RepairSession`'s.  Equality compares `ok`, `rank` and `scheme`."""
 
     ok: bool
     rank: int
@@ -257,6 +313,13 @@ class RankCheck:
     helpers: tuple[tuple[int, tuple, np.ndarray], ...] = dataclasses.field(compare=False, repr=False)
     decoder: np.ndarray | None = dataclasses.field(compare=False, repr=False)
     b: int = dataclasses.field(compare=False)
+    bounds: BoundSet = dataclasses.field(compare=False)
+    ratio: Fraction = dataclasses.field(compare=False)
+
+    @property
+    def per_rack(self) -> tuple[tuple[int, int], ...]:
+        """(e, b_e) for every helper rack e: the rank of its row."""
+        return tuple((e, len(basis)) for e, basis, _ in self.helpers)
 
 
 def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
@@ -271,9 +334,9 @@ def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
     basis mu, so that is the check (`rank_over_base` only reports a failed
     rank); no point is evaluated here.  Each helper rack's row is reduced
     once, for its basis and P_e, and at rank l mu gives the decoder; mu is
-    not kept.  All of it depends on the node only through its rack, so
-    `CodeInstance.rack_memo` keeps the check of the rack checked last, and
-    every node of that rack shares its `helpers` and `decoder`.
+    not kept.  All of it, `bounds` included, depends on the node only
+    through its rack, so `CodeInstance.rack_memo` keeps the check of the
+    rack checked last, which every node of that rack shares.
     """
     params, field, code = instance.params, instance.field, instance.code
     host, _ = code.rack_of(node)
@@ -308,7 +371,8 @@ def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
             expand = reduce_residues(host_map @ mu.T.astype(dtype), q)
             decoder = np.concatenate(
                 [host_map] + [reduce_residues(expand @ c, q) for c in coords], axis=1)
+        b, bset = sum(len(basis) for _, basis, _ in helpers), bounds(params, node)
         memo[host] = RankCheck(ok=rank == params.l, rank=rank, scheme=scheme, helpers=tuple(helpers),
-                               decoder=decoder, b=sum(len(basis) for _, basis, _ in helpers))
+                               decoder=decoder, b=b, bounds=bset, ratio=Fraction(b) / bset.b_min)
     check = memo[host]
     return replace(check, scheme=replace(check.scheme, node=node))

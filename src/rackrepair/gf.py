@@ -27,8 +27,8 @@ quotient ring: one matrix product per block of candidates with a table of
 x^i mod p, for every small irreducible p, finds the candidates with a small
 factor (a root included), and only the rest go through the distinct-degree
 sieve and Rabin's criterion.  The sieve's ring products, weighted by l^2,
-are spent from one budget per search, so a degree whose search cannot
-finish within it is refused with `ValueError`.
+are spent from one `StepBudget` per search, so a degree whose search
+cannot finish within it is refused with `ValueError`.
 
 Large powers use the Frobenius map a -> a^q, which is B-linear: each field
 holds one l x l residue matrix Q with Q a = a^q, and a^e is Horner's rule on
@@ -54,7 +54,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numbertheory import RhoBudget, cyclotomic_value, divisors, factorize, is_prime
+from .numbertheory import StepBudget, cyclotomic_value, divisors, factorize, is_prime, rho_budget
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +118,6 @@ class _QuotientRing:
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         q, l = self.q, self.l
-        if l == 1:
-            return a * b % q
         full = np.convolve(a, b) % q  # length 2l - 1 for length-l inputs
         high = full[l:]
         return (full[:l] + high @ self.reduction[: high.size]) % q
@@ -371,14 +369,15 @@ MAX_Q = 65537  # largest base prime: the searches tabulate range(q)
 MAX_L = 4096  # largest extension degree: a reduction table of at most 134 MB
 
 
-def check_field_size(q: int, l: int):
-    """Raise `ValueError` unless q <= `MAX_Q` and l <= `MAX_L`.  A value too
-    long to print in full is shown as its power-of-two floor."""
-    def shown(name, x):
-        return f"{name} = {x}" if x.bit_length() <= 64 else f"{name} >= 2^{x.bit_length() - 1}"
+def check_field_size(q: int, l: int | None, l_floor: int = 0):
+    """Raise `ValueError` unless q <= `MAX_Q` and l <= `MAX_L`, showing a value
+    past 2^64 by its floor 2^e (an l too long to form: None, e = `l_floor`)."""
+    def shown(name, x, e):
+        return f"{name} = {x}" if e < 64 else f"{name} >= 2^{e}"
 
-    if q > MAX_Q or l > MAX_L:
-        raise ValueError(f"{shown('q', q)}, {shown('l', l)} is too large: "
+    if q > MAX_Q or l is None or l > MAX_L:
+        l_shown = shown("l", l, l_floor if l is None else l.bit_length() - 1)
+        raise ValueError(f"{shown('q', q, q.bit_length() - 1)}, {l_shown} is too large: "
                          f"need q <= {MAX_Q} and l <= {MAX_L}")
 
 
@@ -584,9 +583,10 @@ def find_irreducible(q: int, l: int) -> tuple[int, ...]:
     sieve's blocks include.  The table only skips candidates the sieve
     would reject, so the modulus is the first irreducible either way.
 
-    The sieve's ring products are spent from one `_SearchBudget`, so a
-    search too large to finish raises `ValueError` naming l, on work done
-    and never on wall time.
+    The sieve's ring products, each weighted by l^2, are spent from one
+    `StepBudget` of `_SEARCH_BUDGET` that reserves the answer's own l
+    Frobenius steps up front, so a search too large to finish raises
+    `ValueError` naming l, on work done and never on wall time.
     """
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
@@ -594,7 +594,9 @@ def find_irreducible(q: int, l: int) -> tuple[int, ...]:
         raise ValueError("degree must be >= 1")
     if l == 1:
         return (0, 1)  # x itself; every monic linear polynomial is irreducible
-    budget = _SearchBudget(q, l)
+    budget = StepBudget(_SEARCH_BUDGET, f"no irreducible polynomial of degree l = {l} over "
+                        f"GF({q}) within the search budget of {{total}} coefficient products")
+    budget.spend(0, reserve=_frobenius_products(q) * l**3)
     table = _FactorTable(_small_irreducibles(q, _table_degree(q, l)), l + 1, q)
     candidates = _counting_order(q, l)
     while chunk := list(itertools.islice(candidates, _CHUNK)):
@@ -708,34 +710,12 @@ _SIEVE_BLOCK = 8  # Frobenius terms multiplied per coprimality check in `_is_irr
 _SEARCH_BUDGET = 1 << 32  # l^2-weighted ring products per modulus search, 16 times GF(3^243)'s
 
 
-class _SearchBudget:
-    """The ring products of degree l that one modulus search over GF(q) may
-    still take, each weighted by l^2 (its coefficient products, up to a
-    constant), out of `_SEARCH_BUDGET`.
-
-    A Frobenius step h -> h^q mod f is `step` products, the squarings and
-    products of square-and-multiply by q.  The irreducible the search
-    returns takes l of them, so a budget that cannot pay for those raises
-    at once; otherwise `spend` raises when the products counted so far
-    pass the budget.  Either way the `ValueError` names l."""
-
-    def __init__(self, q: int, l: int):
-        self.q, self.l, self.left = q, l, _SEARCH_BUDGET
-        self.step = q.bit_length() - 1 + q.bit_count() - 1
-        self.spend(0, reserve=self.step * l)
-
-    def spend(self, products: int, reserve: int = 0):
-        """Take `products` ring products, or raise `ValueError` when they,
-        and `reserve` more, are more than the budget has left."""
-        self.left -= products * self.l**2
-        if self.left < reserve * self.l**2:
-            raise ValueError(f"no irreducible polynomial of degree l = {self.l} over "
-                             f"GF({self.q}) within the search budget of {_SEARCH_BUDGET} "
-                             "coefficient products")
+def _frobenius_products(q: int) -> int:
+    """The ring products of one Frobenius step h -> h^q, by square-and-multiply."""
+    return q.bit_length() - 1 + q.bit_count() - 1
 
 
-def _is_irreducible(coeffs: np.ndarray, q: int, l: int,
-                    budget: _SearchBudget | None = None) -> bool:
+def _is_irreducible(coeffs: np.ndarray, q: int, l: int, budget: StepBudget) -> bool:
     """Whether the monic f = `coeffs` of degree l >= 2 is irreducible over
     GF(q), by a distinct-degree sieve with one coprimality check per block.
 
@@ -750,23 +730,23 @@ def _is_irreducible(coeffs: np.ndarray, q: int, l: int,
     x^(q^l) = x, which completes Rabin's criterion (its d = l/p checks are
     among the sieve's).  Each degree of the sieve spends its Frobenius step
     and one product (its term's, or its share of the coprimality check)
-    from `budget`, and each later step its Frobenius step; a fresh
-    `_SearchBudget` is used when none is given."""
-    budget = budget or _SearchBudget(q, l)
+    from `budget`, and each later step its Frobenius step, every product
+    weighted by l^2."""
+    step = _frobenius_products(q)
     ring = _QuotientRing(q, coeffs)
     x = np.zeros(l, dtype=np.int64)
     x[1] = 1
     h = x
     half = l // 2
     for d in range(1, half + 1):
-        budget.spend(budget.step + 1)
+        budget.spend((step + 1) * l * l)
         h = ring.pow(h, q)
         term = (h - x) % q
         prod = term if (d - 1) % _SIEVE_BLOCK == 0 else ring.mul(prod, term)
         if (d % _SIEVE_BLOCK == 0 or d == half) and not _coprime(prod, coeffs, q):
             return False
     for _ in range(l - half):
-        budget.spend(budget.step)
+        budget.spend(step * l * l)
         h = ring.pow(h, q)
     return bool(np.array_equal(h, x))
 
@@ -777,14 +757,14 @@ def factor_field_order(q: int, l: int) -> tuple[int, ...]:
     q^l - 1 is first split into cyclotomic polynomial values prod_{d|l}
     Phi_d(q), and each (much smaller) piece is factored by `factorize` with
     its d, which trial-divides only in the residue class its primes lie in
-    and runs Pollard rho; one `RhoBudget` of steps bounds all the pieces
+    and runs Pollard rho; one `rho_budget()` of steps bounds all the pieces
     together (`ValueError` when they do not split within it).  The result
     multiplies back to q^l - 1 and every entry passes `is_prime`: a proof
     below 3.3e24, and above it a strong-pseudoprime test to 36 bases (12
     fixed, 24 derived from the number), which is not a proof.
     """
     out: list[int] = []
-    budget = RhoBudget()
+    budget = rho_budget()
     for d in divisors(l):
         out += factorize(cyclotomic_value(d, q), d, budget=budget)
     out.sort()

@@ -11,15 +11,16 @@ Phi_d(q): its primes divide d or are 1 mod k (k = d for even d, 2d for odd
 d), so trial division runs over that residue class only and rho iterates
 y -> y^k + c (Brent & Pollard, 1981).  Rho stops after `_RHO_BUDGET` map
 steps with a `ValueError` naming the cofactor it could not split: a count
-of steps, not a clock, bounds every factorization.  A `RhoBudget` passed
-to several calls is shared by them, so one budget bounds a whole field
-order.
+of steps, not a clock, bounds every factorization.  A `StepBudget`, the
+type that bounds the modulus search in `gf` too, is shared by the calls
+it is passed to, so one budget bounds a whole field order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 # Witnesses proven sufficient for all n < 3_317_044_064_679_887_385_961_981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -61,23 +62,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class RhoBudget:
-    """The Pollard rho map steps still allowed, `_RHO_BUDGET` at the start,
-    shared by every `factorize` call that is given this object."""
+class StepBudget:
+    """The steps a bounded search may still take, `total` at the start,
+    shared by every call that is given this object."""
 
-    def __init__(self):
-        self.total = self.left = _RHO_BUDGET
+    def __init__(self, total: int, refusal: str):
+        self.total = self.left = total
+        self.refusal = refusal
 
-    def spend(self, count: int, n: int):
-        """Take `count` steps for the cofactor n, or raise `ValueError`
-        naming n when fewer are left."""
-        if count > self.left:
-            raise ValueError(f"Pollard rho found no factor of {n} within its "
-                             f"budget of {self.total} steps")
-        self.left -= count
+    def spend(self, steps: int, *, reserve: int = 0, **fields):
+        """Take `steps`, or raise `ValueError(refusal.format(total=total,
+        **fields))` when they and `reserve` more are more than is left."""
+        if steps + reserve > self.left:
+            raise ValueError(self.refusal.format(total=self.total, **fields))
+        self.left -= steps
 
 
-def _pollard_brent(n: int, k: int, budget: RhoBudget) -> int:
+def rho_budget() -> StepBudget:
+    """A fresh budget of `_RHO_BUDGET` Pollard rho map steps."""
+    return StepBudget(_RHO_BUDGET, "Pollard rho found no factor of {n} within its "
+                                   "budget of {total} steps")
+
+
+def _pollard_brent(n: int, k: int, budget: StepBudget) -> int:
     """Nontrivial factor of an odd composite n (Brent's cycle finding) with
     the map y -> y^k + c, for c = 1, 2, ... in turn.
 
@@ -89,13 +96,13 @@ def _pollard_brent(n: int, k: int, budget: RhoBudget) -> int:
         x = ys = y
         while g == 1:
             x = y
-            budget.spend(r, n)
+            budget.spend(r, n=n)
             for _ in range(r):
                 y = (pow(y, k, n) + c) % n
             i = 0
             while i < r and g == 1:
                 ys = y
-                budget.spend(min(m, r - i), n)
+                budget.spend(min(m, r - i), n=n)
                 for _ in range(min(m, r - i)):
                     y = (pow(y, k, n) + c) % n
                     q = q * abs(x - y) % n
@@ -105,14 +112,14 @@ def _pollard_brent(n: int, k: int, budget: RhoBudget) -> int:
         if g == n:
             g = 1
             while g == 1:
-                budget.spend(1, n)
+                budget.spend(1, n=n)
                 ys = (pow(ys, k, n) + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
 
 
-def factorize(n: int, d: int = 1, budget: RhoBudget | None = None) -> list[int]:
+def factorize(n: int, d: int = 1, budget: StepBudget | None = None) -> list[int]:
     """Prime factorization of n >= 1 as a sorted list with multiplicity.
 
     d >= 1 says where n's prime factors lie, for n a factor of the
@@ -126,13 +133,12 @@ def factorize(n: int, d: int = 1, budget: RhoBudget | None = None) -> list[int]:
     Pollard, 1981).  d = 1 is the odd-number loop and the map y^2 + c.
     Any d gives the same factorization of any n; a d that does not fit n
     only costs time.  Rho spends its steps from `budget`, a fresh
-    `RhoBudget` of `_RHO_BUDGET` steps when None, and a cofactor that it
-    cannot split within what is left raises `ValueError`."""
+    `rho_budget()` when None, and a cofactor that it cannot split within
+    what is left raises `ValueError`."""
     if n < 1 or d < 1:
         raise ValueError("factorize expects n >= 1 and d >= 1")
     k = d if d % 2 == 0 else 2 * d
-    if budget is None:
-        budget = RhoBudget()
+    budget = budget or rho_budget()
     # The divisors found, then the cofactor; each is prime or split below
     # (a 1 + jk that divides n is prime when d fits n).
     found: list[int] = []
@@ -161,12 +167,7 @@ def factorize(n: int, d: int = 1, budget: RhoBudget | None = None) -> list[int]:
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     divs = [1]
-    for p in sorted(set(factorize(n))):
-        e = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            e += 1
+    for p, e in Counter(factorize(n)).items():
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return sorted(divs)
 
@@ -186,7 +187,8 @@ def cyclotomic_value(d: int, q: int) -> int:
             num *= q**e - 1
         elif mu == -1:
             den *= q**e - 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError(f"Phi_{d}({q}) is not an integer: the Moebius product is broken")
     return num // den
 
 

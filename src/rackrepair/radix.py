@@ -84,9 +84,7 @@ def index_set(radix: RadixSystem, start: int, width: int) -> tuple[int, ...]:
     """All t in [0, capacity) whose digits under `window(radix.radices,
     start, width)` are all zero."""
     positions = window(radix.radices, start, width)
-    out = tuple(
+    return tuple(
         t for t in range(radix.capacity)
         if all(t // radix.weights[p] % radix.radices[p] == 0 for p in positions)
     )
-    assert len(out) * prod(radix.radices[:width]) == radix.capacity
-    return out

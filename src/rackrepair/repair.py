@@ -2,9 +2,9 @@
 
 A repair run produces two artifacts: a transcript of what actually crossed
 rack boundaries (per helper rack, a basis of the evaluated polynomial span
-and one trace residue per basis element), and a bandwidth report checking
-the measured per-rack counts against the cut-set lower bound and the
-applicable per-construction upper bound.
+and one trace residue per basis element), and the node's bandwidth report,
+which is its `constructions.RankCheck`: the per-rack ranks, their sum b,
+the cut-set lower bound and the applicable per-construction upper bound.
 
 Bandwidth is a rank, so it is data independent; the payload realizes the
 rank count as actual base-field symbols, which keeps the accounting
@@ -15,11 +15,10 @@ separately and must agree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .constructions import CodeInstance, RepairScheme, SchemeParams, rack_wy, verify_rank_condition
+from .constructions import CodeInstance, RankCheck, RepairScheme, verify_rank_condition
 from .gf import FieldElement, reduce_residues
 
 
@@ -51,66 +50,6 @@ class RepairTranscript:
     expected: FieldElement
 
 
-@dataclass(frozen=True)
-class BoundSet:
-    """Cut-set lower bound, the applicable upper bound (if any), its case
-    tag, and whether the upper bound is a theorem for these parameters or
-    informational only."""
-
-    b_min: Fraction
-    upper: Fraction | None
-    case: str
-    enforced: bool
-
-    def violations(self, b: int) -> tuple[str, ...]:
-        """One finding per bound that bandwidth b breaks: the cut-set bound
-        always, the upper bound only where it is enforced."""
-        out = []
-        if b < self.b_min:
-            out.append(f"cut-set bound violated: b = {b} < {self.b_min}")
-        if self.enforced and self.upper is not None and b >= self.upper:
-            out.append(f"upper bound violated: b = {b} >= {self.upper} (case {self.case})")
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class BandwidthReport:
-    node: int
-    per_rack: tuple[tuple[int, int], ...]
-    b: int
-    bounds: BoundSet
-    ratio: Fraction
-
-
-def bounds(params: SchemeParams, node: int) -> BoundSet:
-    """Bound set for repairing `node`: always the cut-set bound, plus the
-    mode- and case-specific upper bound.
-
-    Basic modes use the single (nbar+1)l/rbar bound.  Multi-base modes pick
-    the case by the failed rack's block index w (the w <= nprime - 3 formula
-    is applied down to w = 0).  The prime-rbar adaptation computes the upper
-    bound with rbar' = rbar - 1 but keeps the true rbar in the cut-set bound.
-    Upper bounds are enforced only where they are theorems: basic modes, and
-    multi-base modes with no remainder block.
-    """
-    rack = (node - 1) // params.u + 1
-    l = params.l
-    b_min = Fraction((params.nbar - 1) * l, params.rbar)
-    if params.mode in ("C1", "homogeneous"):
-        return BoundSet(b_min, Fraction((params.nbar + 1) * l, params.rbar), "thm8", True)
-    re = params.rbar_eff
-    w, _ = rack_wy(params, rack)
-    if w <= params.nprime - 3:
-        case, num = "i", (params.nbar - 1) + 3 * re + 3 * params.m + 1
-    elif w == params.nprime - 2:
-        case, num = "ii", (params.nbar - 1) + (params.m + 3) * re + 4
-    elif w == params.nprime - 1:
-        case, num = "iii", (params.nbar - 1) + (params.m + 1) * re + 2
-    else:  # remainder rack beyond the full blocks: no case formula exists
-        return BoundSet(b_min, None, "n/a", False)
-    return BoundSet(b_min, Fraction(num * l, re), case, params.h == 0)
-
-
 class RepairSession:
     """Per-node repair: its rack's plan, as `verify_rank_condition` compiles
     it, and its B-scalar, run on any number of codewords.
@@ -131,7 +70,8 @@ class RepairSession:
     sigma_e = M(lambda_(e,1)) (sum_j w_j c_j) by one B-combination and one
     batched product, then one product per helper rack and one for the
     decoder.  The session checks its node's rack itself (a memo hit when
-    that rack was checked last) and is refused unless the rank is l.
+    that rack was checked last) and is refused unless the rank is l; `run`
+    returns that check, the node's bandwidth report, with each transcript.
 
     Every product and running sum stays below max(u, nbar) l (q-1)^2, so it
     is exact in the dtype `residue_dtype` picks for that bound (float32 below
@@ -150,22 +90,14 @@ class RepairSession:
         check = verify_rank_condition(instance, node)
         if not check.ok:
             raise ValueError("refusing to repair: rank condition not verified for this scheme")
-        self.helpers, self.decoder, self.b = check.helpers, check.decoder, check.b
+        self.check, self.helpers, self.decoder, self.b = check, check.helpers, check.decoder, check.b
         self.weights = code.weight_matrices
         self.scalars = code.weight_scalars[:, None]
         self.w_inv = pow(int(code.weight_scalars[failed_j - 1]), -1, params.q)
         self.host_nodes = tuple(code.node_index(self.host_rack, m)
                                 for m in range(1, params.u + 1) if m != failed_j)
-        bset = bounds(params, node)
-        self.report = BandwidthReport(
-            node=node,
-            per_rack=tuple((e, len(basis)) for e, basis, _ in self.helpers),
-            b=self.b,
-            bounds=bset,
-            ratio=Fraction(self.b) / bset.b_min,
-        )
 
-    def run(self, codeword) -> tuple[RepairTranscript, BandwidthReport]:
+    def run(self, codeword) -> tuple[RepairTranscript, RankCheck]:
         instance, scheme = self.instance, self.scheme
         params, field = instance.params, instance.field
         q = field.q
@@ -205,7 +137,7 @@ class RepairSession:
                 f"exact recovery failed for node {node}: got {recovered!r}, "
                 f"expected {expected!r}", transcript,
             )
-        return transcript, self.report
+        return transcript, self.check
 
 
 @dataclass(frozen=True)
@@ -214,10 +146,11 @@ class AuditResult:
     findings: tuple[str, ...]
 
 
-def audit(transcript: RepairTranscript, report: BandwidthReport) -> AuditResult:
-    """Cross-check a transcript against its report: payload counts must match
-    the rank-based per-rack bandwidths, the totals must agree, the bounds
-    must hold (upper bound only where enforced), and recovery must be exact.
+def audit(transcript: RepairTranscript, report: RankCheck) -> AuditResult:
+    """Cross-check a transcript against its report, the node's `RankCheck`:
+    payload counts must match the rank-based per-rack bandwidths, the totals
+    must agree, the bounds must hold (upper bound only where enforced), and
+    recovery must be exact.
     """
     findings = []
     per_rack = dict(report.per_rack)

@@ -131,14 +131,6 @@ class CodeSpec:
         return (node - 1) // self.u + 1, (node - 1) % self.u + 1
 
 
-def poly_eval(coeffs: Sequence[FieldElement], x: FieldElement) -> FieldElement:
-    """Horner evaluation; coeffs are lowest-degree first."""
-    acc = x.field.zero
-    for c in reversed(list(coeffs)):
-        acc = acc * x + c
-    return acc
-
-
 def encode(message: Sequence[FieldElement], code: CodeSpec) -> tuple[FieldElement, ...]:
     """Codeword (f(alpha_1), ..., f(alpha_n)) of a message polynomial f of
     degree <= k - 1 (coefficients lowest-degree first, all in the code's
@@ -175,7 +167,7 @@ def _invert_all(vals: Sequence[FieldElement]) -> list[FieldElement]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def dual_weights(code: CodeSpec) -> tuple[FieldElement, ...]:
     """The column multipliers that turn low-degree evaluations into dual
     codewords of the code: the inverses of `CodeSpec.weight_inverses`, all
@@ -185,7 +177,7 @@ def dual_weights(code: CodeSpec) -> tuple[FieldElement, ...]:
     highest-degree pair x^(k-1) x^(n-k-1) = x^(n-2) must have
     sum_i lambda_i alpha_i^(n-2) = 0, and every weight must be its rack's
     first times its B-scalar, lambda_(e,j) = w_j lambda_(e,1)
-    (`CodeSpec.weight_scalars`).
+    (`CodeSpec.weight_scalars`).  The cache keeps only the last code.
     """
     out = tuple(_invert_all(code.weight_inverses))
     ip = code.field.zero

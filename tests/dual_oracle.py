@@ -6,7 +6,15 @@ dual codeword, so its inner product with every codeword is zero.  Nothing in
 the package reads it.
 """
 
-from rackrepair.rs import CodeSpec, dual_weights, poly_eval
+from rackrepair.rs import CodeSpec, dual_weights
+
+
+def _horner(g, x):
+    """g(x) for coefficients g, lowest degree first."""
+    acc = x.field.zero
+    for c in reversed(g):
+        acc = acc * x + c
+    return acc
 
 
 def dual_codeword(g, code: CodeSpec):
@@ -17,4 +25,4 @@ def dual_codeword(g, code: CodeSpec):
             "inconsistent with the code rate"
         )
     lam = dual_weights(code)
-    return tuple(w * poly_eval(g, a) for w, a in zip(lam, code.eval_points))
+    return tuple(w * _horner(g, a) for w, a in zip(lam, code.eval_points))

@@ -15,6 +15,7 @@ from dual_oracle import dual_codeword
 
 from rackrepair.cli import ExperimentConfig, run_sweep
 from rackrepair.constructions import (
+    bounds,
     build,
     c1_params,
     c2_params,
@@ -25,8 +26,8 @@ from rackrepair.constructions import (
 )
 from rackrepair.gf import GF, rank_over_base
 from rackrepair.radix import RadixSystem
-from rackrepair.repair import RepairSession, audit, bounds
-from rackrepair.rs import encode, erasure_decode, poly_eval
+from rackrepair.repair import RepairSession, audit
+from rackrepair.rs import encode, erasure_decode
 
 GF.cache_clear()  # criterion timings include field construction
 

@@ -1,6 +1,7 @@
 import io
 import json
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -216,6 +217,23 @@ def test_main_invalid_parameters_no_traceback(argv, names, capsys):
     assert err.startswith("invalid parameters: ") and err.count("\n") == 1
     assert names in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["build", "--rbar", "3", "--nbar", "10000000"], "l >= 2^10000000"),
+    (["build", "--rbar", "3", "--nbar", "100000000"], "l >= 2^100000000"),
+    (["build", "--rbar", "3", "--nbar", "10000000000"], "l >= 2^10000000000"),
+    (["build", "--q", str(2**4423 - 1), "--u", "2", "--rbar", "2", "--nbar", "3"], "q >= 2^4422"),
+], ids=["nbar1e7", "nbar1e8", "nbar1e10", "q-M4423"])
+def test_oversized_fields_are_refused_before_any_work(argv, shown, capsys):
+    # l = 3^nbar is refused by its floor 2^nbar without being formed, and
+    # the prime q = 2^4423 - 1 by its size before Miller-Rabin runs
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid parameters: ") and err.count("\n") == 1
+    assert shown in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,7 +17,7 @@ from rackrepair.gf import (
     rank_over_base,
     reduce_residues,
 )
-from rackrepair.numbertheory import cyclotomic_value, divisors, factorize
+from rackrepair.numbertheory import StepBudget, cyclotomic_value, divisors, factorize
 
 
 def all_elements(field):
@@ -162,21 +162,24 @@ def test_search_budget(monkeypatch):
     # takes 32 sieve degrees of a Frobenius step (2 products) and one
     # product, then 32 more Frobenius steps
     f = find_irreducible(3, 64)
-    budget = gf._SearchBudget(3, 64)
-    assert budget.step == 2 and budget.left == gf._SEARCH_BUDGET
+    budget = StepBudget(gf._SEARCH_BUDGET, "{total}")
     assert gf._is_irreducible(np.array(f), 3, 64, budget)
     assert gf._SEARCH_BUDGET - budget.left == (32 * 3 + 32 * 2) * 64**2
-    assert gf._SearchBudget(13, 1).step == 5 and gf._SearchBudget(2, 1).step == 1
+    assert [gf._frobenius_products(q) for q in (2, 3, 13)] == [1, 2, 5]
     # a budget that cannot pay for the answer's own l Frobenius steps is
     # refused before any candidate; one that runs out midway raises too
+    tested = []
+    sieve = gf._is_irreducible
+    monkeypatch.setattr(gf, "_is_irreducible", lambda *args: tested.append(1) or sieve(*args))
     monkeypatch.setattr(gf, "_SEARCH_BUDGET", 2 * 64**3 - 1)
     with pytest.raises(ValueError, match=r"^no irreducible polynomial of degree l = 64 over "
                                          r"GF\(3\) within the search budget of 524287 "):
-        gf._SearchBudget(3, 64)
+        find_irreducible(3, 64)
+    assert not tested
     monkeypatch.setattr(gf, "_SEARCH_BUDGET", 10**6)
-    gf._SearchBudget(3, 64)
     with pytest.raises(ValueError, match=r"degree l = 64 over GF\(3\) within the search budget of 1000000"):
         find_irreducible(3, 64)
+    assert tested
 
 
 @pytest.mark.parametrize("q", [2, 3, 13])
@@ -211,8 +214,9 @@ def test_block_sieve_rejects_products(d):
     h = next(found) if d == l - d else next(irreducibles(q, l - d))
     f = poly_mul(np.array(g), np.array(h), q)
     assert f.size == l + 1 and f[-1] == 1
-    assert not gf._is_irreducible(f, q, l)
-    assert gf._is_irreducible(np.array(next(irreducibles(q, l))), q, l)
+    budget = StepBudget(gf._SEARCH_BUDGET, "{total}")
+    assert not gf._is_irreducible(f, q, l, budget)
+    assert gf._is_irreducible(np.array(next(irreducibles(q, l))), q, l, budget)
 
 
 def test_coprime_matches_oracle_gcd():

@@ -5,7 +5,7 @@ import pytest
 
 from rackrepair import numbertheory
 from rackrepair.gf import factor_field_order
-from rackrepair.numbertheory import cyclotomic_value, divisors, factorize, is_prime
+from rackrepair.numbertheory import StepBudget, cyclotomic_value, divisors, factorize, is_prime
 
 
 def test_is_prime_small():
@@ -110,9 +110,25 @@ def test_factor_field_order_shares_one_budget(monkeypatch):
     with pytest.raises(ValueError, match=f"no factor of {380329 * 1418792215861230619657} "
                                          "within its budget of 200 steps"):
         factor_field_order(13, 52)
-    budget = numbertheory.RhoBudget()
+    budget = numbertheory.rho_budget()
     factorize(cyclotomic_value(13, 13), 13, budget=budget)
     assert budget.left == 200 - 126
+
+
+def test_step_budget_boundary():
+    # steps + reserve == left passes and takes only the steps; one step
+    # more raises with the refusal formatted from the total and the fields
+    budget = StepBudget(10, "refused {what} within {total}")
+    budget.spend(3, reserve=7)
+    assert budget.left == 7
+    with pytest.raises(ValueError, match="^refused x within 10$"):
+        budget.spend(1, reserve=7, what="x")
+    budget.spend(7)
+    assert budget.left == 0
+    with pytest.raises(ValueError, match="^refused y within 10$"):
+        budget.spend(1, what="y")
+    with pytest.raises(TypeError):
+        budget.spend(0, 0)  # reserve is keyword-only
 
 
 def test_divisors():

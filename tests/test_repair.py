@@ -8,6 +8,7 @@ from family_oracle import FamilyEvaluator
 from repair_oracle import reference_repair
 
 from rackrepair.constructions import (
+    bounds,
     build,
     c1_params,
     c2_params,
@@ -17,8 +18,9 @@ from rackrepair.constructions import (
     verify_rank_condition,
 )
 from rackrepair.gf import GF, ExtensionField, rank_over_base
-from rackrepair.repair import RepairError, RepairSession, audit, bounds
+from rackrepair.repair import RepairError, RepairSession, audit
 from rackrepair import constructions, gf, rs
+from rackrepair.cli import rows_for_instance
 from rackrepair.rs import encode
 
 
@@ -402,6 +404,57 @@ def test_repair_reads_the_memo_rank_not_the_scheme_flag(monkeypatch):
     assert not check.ok and check.rank == 7
     with pytest.raises(ValueError, match="rank condition not verified"):
         RepairSession(inst, check.scheme)
+
+
+def test_rank_deficient_check_is_its_nodes_report(monkeypatch):
+    # the rank-deficient check of the set-up above still reports its
+    # node's bandwidth: bounds, ratio and per-rack ranks, as its CLI row does
+    family = constructions.repair_family
+
+    def repeated(instance, node):
+        scheme = family(instance, node)
+        rows = list(scheme.rows)
+        host = rows[scheme.rack - 1]
+        rows[scheme.rack - 1] = (host[0], host[0]) + host[2:]
+        return replace(scheme, rows=tuple(rows))
+
+    monkeypatch.setattr(constructions, "repair_family", repeated)
+    params = c1_params(3, 2, 3, 2)
+    inst = build(params)
+    check = verify_rank_condition(inst, 1)
+    assert not check.ok and check.rank == 7
+    assert check.bounds == bounds(params, 1)
+    assert check.ratio == Fraction(check.b) / check.bounds.b_min
+    assert check.per_rack == tuple((e, len(basis)) for e, basis, _ in check.helpers)
+    assert [e for e, _ in check.per_rack] == [2, 3] and sum(b for _, b in check.per_rack) == check.b
+    row = rows_for_instance(inst, 1, random.Random(5))[0]
+    assert row.node == 1 and not row.rank_ok
+    assert (row.b, row.bounds, row.ratio) == (check.b, check.bounds, check.ratio)
+
+
+@pytest.mark.parametrize("params", [
+    c1_params(3, 2, 3, 2),
+    c2_params(3, 2, 6, (2, 2)),
+    c2_params(3, 2, 5, (2, 2)),
+    cor7_params(3, 2, 6, 5),
+    homogeneous_params(3, 3, 2),
+    c2_params(13, 3, 6, (2, 2)),
+], ids=["C1", "C2", "C2-remainder", "Cor7", "homogeneous", "C2-q13"])
+def test_rank_check_is_the_bandwidth_report(params):
+    # every node's rank check carries its bounds, its ratio b / b_min and
+    # its per-rack ranks, and a repair run returns that check as its report
+    inst = build(params)
+    word = random_codeword(inst, random.Random(41))
+    for node in range(1, params.n + 1):
+        check = verify_rank_condition(inst, node)
+        assert check.bounds == bounds(params, node)
+        assert check.ratio == Fraction(check.b) / check.bounds.b_min
+        assert check.per_rack == tuple((e, len(basis)) for e, basis, _ in check.helpers)
+        session = RepairSession(inst, check.scheme)
+        transcript, report = session.run(word)
+        assert report is session.check and report == check and report.helpers is check.helpers
+        assert (report.b, report.bounds, report.ratio) == (check.b, check.bounds, check.ratio)
+        assert report.per_rack == tuple((m.rack, len(m.payload)) for m in transcript.messages)
 
 
 def test_payload_count_equals_rank_sum():

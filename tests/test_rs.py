@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from rackrepair.rs import (
     dual_weights,
     encode,
     erasure_decode,
-    poly_eval,
 )
 
 
@@ -203,12 +204,21 @@ def test_mds_exhaustive_subsets_c2():
     assert count == 495  # C(12, 4)
 
 
-def test_poly_eval_horner():
-    field = GF(3, 2)
-    x = field.monomial(1)
-    # f(t) = 1 + 2t + t^2 at t = x: 1 + 2x + x^2 = 1 + 2x + 2 = 2x
-    val = poly_eval([field.one, field.scalar(2), field.one], x)
-    assert val == 2 * x
+def test_dual_weights_keeps_only_the_last_code():
+    # the cache holds the last code it saw, with its matrix stacks, and lets
+    # it go once another code is asked for
+    rs.dual_weights.cache_clear()
+    first = small_code()
+    rs.dual_weights(first)
+    ref = weakref.ref(first)
+    del first
+    gc.collect()
+    assert ref() is not None
+    second = u1_code()
+    rs.dual_weights(second)
+    gc.collect()
+    assert ref() is None
+    assert rs.dual_weights.cache_info().currsize == 1
 
 
 ENCODE_CODES = {
