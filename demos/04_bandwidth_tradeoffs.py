@@ -22,16 +22,16 @@ rows = run_sweep(ExperimentConfig(mode="C2", q=3, u=2, nbar=6, primes=(2, 2),
                                   trials=2, seed=1))
 print("\nmulti-base instance, one line per node:")
 print("node  rack  b    b_min  upper  case  ratio")
-for r in rows:
-    print(f"{r.node:>4}  {r.rack:>4}  {r.b:>3}  {r.bounds.b_min!s:>5}  {r.bounds.upper!s:>5}"
-          f"  {r.bounds.case:>4}  {float(r.ratio):.4f}")
+for c in (r.check for r in rows):
+    print(f"{c.scheme.node:>4}  {c.scheme.rack:>4}  {c.b:>3}  {c.bounds.b_min!s:>5}"
+          f"  {c.bounds.upper!s:>5}  {c.bounds.case:>4}  {float(c.ratio):.4f}")
 
 # the basic construction's ratio trend: b/b_min sinks toward 1 as nbar grows
 print("\nbasic construction trend at rbar = 2:")
 for nbar in (3, 4, 5):
     rows = run_sweep(ExperimentConfig(mode="C1", q=3, u=2, nbar=nbar, rbar=2,
                                       trials=1, seed=2))
-    worst = max(r.ratio for r in rows)
+    worst = max(r.check.ratio for r in rows)
     print(f"  nbar={nbar}  l={rows[0].params.l:>3}  max b/b_min = {worst} = {float(worst):.4f}")
 
 # at fixed rbar the upper bound (nbar+1)/(nbar-1) * b_min forces the limit

@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .constructions import (
-    BoundSet,
     CodeInstance,
+    RankCheck,
     SchemeParams,
     build,
     c1_params,
@@ -48,20 +48,18 @@ class ExperimentConfig:
     v: int = 0
     trials: int = 3
     seed: int = 0
-    fmt: str = "csv"
-    out: str | None = None
 
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One node's report line: its rank check (`RankCheck.without_plan`),
+    which holds its rack, node, b, bounds, ratio and rank verdict, and
+    whether its repairs ran ("true"), were skipped (no trials) or could not
+    run ("false": the rank check failed)."""
+
     params: SchemeParams
-    rack: int
-    node: int
-    b: int
-    bounds: BoundSet
-    ratio: Fraction
+    check: RankCheck
     repair_ok: str
-    rank_ok: bool
 
 
 def params_from_config(config: ExperimentConfig) -> SchemeParams:
@@ -70,23 +68,17 @@ def params_from_config(config: ExperimentConfig) -> SchemeParams:
         raise ValueError("mode C2 takes --primes, not --rbar")
     if mode != "C2" and config.primes is not None:
         raise ValueError(f"--primes applies to mode C2 only, got --mode {mode}")
+    if not (config.primes if mode == "C2" else config.rbar is not None):
+        raise ValueError(f"mode {mode} needs {'--primes' if mode == 'C2' else '--rbar'}")
     if mode == "C1":
-        if config.rbar is None:
-            raise ValueError("mode C1 needs --rbar")
         return c1_params(config.q, config.u, config.nbar, config.rbar, config.v)
     if mode == "homogeneous":
-        if config.rbar is None:
-            raise ValueError("homogeneous mode needs --rbar")
         if config.u != 1:
             raise ValueError("homogeneous mode means u = 1")
         return homogeneous_params(config.q, config.nbar, config.rbar, config.v)
     if mode == "C2":
-        if not config.primes:
-            raise ValueError("mode C2 needs --primes")
         return c2_params(config.q, config.u, config.nbar, config.primes, config.v)
     if mode == "Cor7":
-        if config.rbar is None:
-            raise ValueError("mode Cor7 needs --rbar")
         return cor7_params(config.q, config.u, config.nbar, config.rbar, config.v)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -96,46 +88,45 @@ def random_codeword(instance: CodeInstance, rng: random.Random):
     return encode(message, instance.code)
 
 
-def audited_repairs(session: RepairSession, trials: int, rng: random.Random):
-    """Yield (codeword, transcript, report) for `trials` seeded random
-    codewords; raise RepairError on the first audit failure."""
-    instance, node = session.instance, session.scheme.node
-    for _ in range(trials):
-        codeword = random_codeword(instance, rng)
-        transcript, report = session.run(codeword)
-        result = audit(transcript, report)
-        if not result.ok:
-            raise RepairError(
-                f"audit failed for node {node}: " + "; ".join(result.findings), transcript,
-            )
-        yield codeword, transcript, report
+def audited_repairs(instance: CodeInstance, node: int, trials: int, rng: random.Random):
+    """The node's rank check, and a generator of `trials` audited
+    (codeword, transcript) repairs of seeded random codewords (none when the
+    check fails).  The generator raises RepairError on the first audit
+    failure."""
+    check = verify_rank_condition(instance, node)
+    if not check.ok:
+        return check, iter(())
+    session = RepairSession(instance, check.scheme)
+
+    def runs():
+        for _ in range(trials):
+            codeword = random_codeword(instance, rng)
+            transcript, report = session.run(codeword)
+            result = audit(transcript, report)
+            if not result.ok:
+                raise RepairError(f"audit failed for node {node}: "
+                                  + "; ".join(result.findings), transcript)
+            yield codeword, transcript
+
+    return check, runs()
 
 
 def rows_for_instance(
     instance: CodeInstance, trials: int, rng: random.Random
 ) -> list[ReportRow]:
     """One row per node: rank check, `trials` random-codeword repairs, audit."""
-    params = instance.params
     rows = []
-    for node in range(1, params.n + 1):
-        check = verify_rank_condition(instance, node)
-        repair_ok = "false"
-        if check.ok:
-            session = RepairSession(instance, check.scheme)
-            runs = sum(1 for _ in audited_repairs(session, trials, rng))
-            repair_ok = "true" if runs else "skipped"
-        rows.append(ReportRow(
-            params=params, rack=check.scheme.rack, node=node, b=check.b, bounds=check.bounds,
-            ratio=check.ratio, repair_ok=repair_ok, rank_ok=check.ok,
-        ))
+    for node in range(1, instance.params.n + 1):
+        check, runs = audited_repairs(instance, node, trials, rng)
+        ran = sum(1 for _ in runs)
+        rows.append(ReportRow(instance.params, check.without_plan(),
+                              "false" if not check.ok else "true" if ran else "skipped"))
     return rows
 
 
 def run_sweep(config: ExperimentConfig) -> list[ReportRow]:
     params = params_from_config(config)  # full validation before any field work
-    instance = build(params)
-    rng = random.Random(config.seed)
-    return rows_for_instance(instance, config.trials, rng)
+    return rows_for_instance(build(params), config.trials, random.Random(config.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +147,22 @@ def _ratio_str(x: Fraction) -> str:
 
 
 def _row_values(row: ReportRow) -> list[str]:
-    p = row.params
+    p, check = row.params, row.check
     return [
-        p.mode, str(p.q), str(p.u), str(p.nbar), str(p.rbar),
-        str(p.rbar_eff), str(p.l), str(row.rack), str(row.node), str(row.b),
-        _frac_str(row.bounds.b_min), _frac_str(row.bounds.upper), row.bounds.case,
-        _ratio_str(row.ratio), row.repair_ok, "true" if row.rank_ok else "false",
+        p.mode, str(p.q), str(p.u), str(p.nbar), str(p.rbar), str(p.rbar_eff), str(p.l),
+        str(check.scheme.rack), str(check.scheme.node), str(check.b),
+        _frac_str(check.bounds.b_min), _frac_str(check.bounds.upper), check.bounds.case,
+        _ratio_str(check.ratio), row.repair_ok, "true" if check.ok else "false",
     ]
 
 
 def summarize(rows: list[ReportRow]) -> dict:
-    ratios = [row.ratio for row in rows]
+    checks = [row.check for row in rows]
     return {
-        "max_ratio": _ratio_str(max(ratios)),
-        "min_ratio": _ratio_str(min(ratios)),
-        "bound_violations": sum(1 for row in rows if row.bounds.violations(row.b)),
-        "audit_failures": sum(1 for row in rows if row.repair_ok == "false" or not row.rank_ok),
+        "max_ratio": _ratio_str(max(c.ratio for c in checks)),
+        "min_ratio": _ratio_str(min(c.ratio for c in checks)),
+        "bound_violations": sum(1 for c in checks if c.bounds.violations(c.b)),
+        "audit_failures": sum(1 for row in rows if row.repair_ok == "false" or not row.check.ok),
     }
 
 
@@ -218,7 +209,8 @@ def emit_report(
 
 def _interpretation_notes(rows: list[ReportRow]) -> list[str]:
     notes = []
-    if any(row.params.mode in ("C2", "Cor7") and row.bounds.case == "i" and row.rack == 1 for row in rows):
+    if any(row.params.mode in ("C2", "Cor7") and row.check.bounds.case == "i"
+           and row.check.scheme.rack == 1 for row in rows):
         notes.append("case (i) bound applied down to w=0 (reading of the case split)")
     if any(row.params.mode == "C2-remainder" for row in rows):
         notes.append(
@@ -309,7 +301,6 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(
         mode=args.mode, q=args.q, u=args.u, nbar=args.nbar, rbar=args.rbar,
         primes=primes, v=args.v, trials=args.trials, seed=args.seed,
-        fmt=args.fmt or "csv", out=args.out,
     )
 
 
@@ -341,27 +332,21 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
 
         if args.command == "build":
-            instance = build(params_from_config(config))
-            _write(describe_instance(instance), config.out)
+            _write(describe_instance(build(params_from_config(config))), args.out)
             return 0
 
         if args.command == "repair":
             instance = build(params_from_config(config))
-            node = args.node
-            check = verify_rank_condition(instance, node)
+            check, runs = audited_repairs(instance, args.node, max(config.trials, 1),
+                                          random.Random(config.seed))
             if not check.ok:
-                sys.stderr.write(f"rank condition failed at node {node}: {check.rank}\n")
+                sys.stderr.write(f"rank condition failed at node {args.node}: {check.rank}\n")
                 return 1
-            session = RepairSession(instance, check.scheme)
-            runs = list(audited_repairs(session, max(config.trials, 1), random.Random(config.seed)))
-            codeword, transcript, report = runs[0]
-            text = (
-                "codeword:\n" + describe_codeword(codeword) + describe_transcript(transcript)
-                + f"b={report.b} b_min={_frac_str(report.bounds.b_min)} "
-                f"upper={_frac_str(report.bounds.upper)} case={report.bounds.case} "
-                f"ratio={_ratio_str(report.ratio)}\n"
-            )
-            _write(text, config.out)
+            (codeword, transcript), *_ = runs
+            _write("codeword:\n" + describe_codeword(codeword) + describe_transcript(transcript)
+                   + f"b={check.b} b_min={_frac_str(check.bounds.b_min)} "
+                   f"upper={_frac_str(check.bounds.upper)} case={check.bounds.case} "
+                   f"ratio={_ratio_str(check.ratio)}\n", args.out)
             return 0
 
         # sweep runs one instance; nbar-sweep runs the basic mode over
@@ -380,9 +365,9 @@ def main(argv=None) -> int:
             params_from_config(replace(config, nbar=nbar))
         runs = [(nbar, run_sweep(replace(config, nbar=nbar))) for nbar in nbars]
         rows = [row for _, run in runs for row in run]
-        trend = [(nbar, max(r.ratio for r in run)) for nbar, run in runs]
-        _write(emit_report(rows, config.fmt, trend if args.command == "nbar-sweep" else ()),
-               config.out)
+        trend = [(nbar, max(r.check.ratio for r in run)) for nbar, run in runs]
+        _write(emit_report(rows, args.fmt or "csv", trend if args.command == "nbar-sweep" else ()),
+               args.out)
         summary = summarize(rows)
         return 0 if summary["bound_violations"] == 0 and summary["audit_failures"] == 0 else 1
 

@@ -101,6 +101,16 @@ def _scheme(mode: str, q: int, u: int, nbar: int, rbar: int, bases: tuple[int, .
     )
 
 
+def _refuse_unformable(q: int, nbar: int, rbar: int):
+    """The refusals that come before any primality test or factoring of
+    rbar: nbar - rbar >= 1, and l >= 2^nbar (every radix is at least 2)
+    within the field limits.  Past them rbar < nbar < 64."""
+    if nbar - rbar < 1:
+        raise ValueError("need nbar - rbar >= 1")
+    if nbar >= 64:
+        check_field_size(q, None, nbar)
+
+
 def c1_params(q: int, u: int, nbar: int, rbar: int, v: int = 0) -> SchemeParams:
     """Parameters for the basic construction (l = rbar^nbar)."""
     return _scheme("C1", q, u, nbar, rbar, (rbar,), v)
@@ -118,9 +128,12 @@ def c2_params(q: int, u: int, nbar: int, primes, v: int = 0) -> SchemeParams:
     primes = tuple(int(p) for p in primes)
     if len(primes) < 2:
         raise ValueError("the multi-base construction needs m >= 2 primes")
-    for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} in the prime list is not prime")
+    bad = [p for p in primes if p < 2]
+    if not bad:
+        _refuse_unformable(q, nbar, prod(primes))
+        bad = [p for p in primes if not is_prime(p)]
+    if bad:
+        raise ValueError(f"{bad[0]} in the prime list is not prime")
     mode = "C2" if nbar % len(primes) == 0 else "C2-remainder"
     return _scheme(mode, q, u, nbar, prod(primes), primes, v)
 
@@ -132,6 +145,8 @@ def cor7_params(q: int, u: int, nbar: int, rbar: int, v: int = 0) -> SchemeParam
     family is the one for the larger dimension k' = (nbar - rbar') u + v,
     which stays valid because its polynomial degrees fit under n - k' - 1.
     """
+    if rbar >= 5:
+        _refuse_unformable(q, nbar, rbar)
     if rbar < 5 or not is_prime(rbar):
         raise ValueError(f"Cor7 needs a prime rbar >= 5, got rbar = {rbar}")
     return _scheme("Cor7", q, u, nbar, rbar, tuple(factorize(rbar - 1)), v)
@@ -304,8 +319,9 @@ class RankCheck:
     """A rack's rank check, its repair plan and its nodes' bandwidth report:
     (rack, basis, payload map P_e) per helper rack, `b` the sum of their
     ranks with its `bounds` and `ratio` b / b_min, and the decoder of the
-    rack's first node (None below rank l); the plan's algebra is
-    `repair.RepairSession`'s.  Equality compares `ok`, `rank` and `scheme`."""
+    rack's first node (None below rank l; `without_plan` drops it and each
+    P_e); the plan's algebra is `repair.RepairSession`'s.  Equality
+    compares `ok`, `rank` and `scheme`."""
 
     ok: bool
     rank: int
@@ -320,6 +336,13 @@ class RankCheck:
     def per_rack(self) -> tuple[tuple[int, int], ...]:
         """(e, b_e) for every helper rack e: the rank of its row."""
         return tuple((e, len(basis)) for e, basis, _ in self.helpers)
+
+    def without_plan(self) -> RankCheck:
+        """This check without its plan's matrices (each P_e and the decoder,
+        l (l + 2b) residues): the bandwidth report alone, which is what a
+        sweep's rows keep of every node."""
+        return replace(self, helpers=tuple((e, basis, None) for e, basis, _ in self.helpers),
+                       decoder=None)
 
 
 def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:

@@ -553,9 +553,12 @@ class ExtensionField:
         return a
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=2)
 def GF(q: int, l: int) -> ExtensionField:
-    """Deterministic, cached construction of GF(q^l)."""
+    """Deterministic, cached construction of GF(q^l).  The cache keeps only
+    the two fields built last, a code's own and the GF(q, 1) that `build`
+    takes alpha from, since each field holds its (l - 1) x l reduction
+    table (134 MB at l = 4096)."""
     return ExtensionField(q, l)
 
 

@@ -101,15 +101,21 @@ class CodeSpec:
     @functools.cached_property
     def weight_inverses(self) -> tuple[FieldElement, ...]:
         """lambda_i^-1 = prod_{j != i} (alpha_i - alpha_j), formed once per
-        code; `dual_weights` inverts them."""
-        out = []
-        for i, a in enumerate(self.eval_points):
-            acc = self.field.one
-            for j, b in enumerate(self.eval_points):
-                if i != j:
-                    acc = acc * (a - b)
-            out.append(acc)
-        return tuple(out)
+        code one rack at a time.  Rack f's points are the roots of
+        x^u - gamma_f^u, so at a point a of rack e its factors multiply to
+        a^u - gamma_f^u = gamma_e^u - gamma_f^u, and those of rack e itself
+        to the derivative u a^(u-1): nbar^2 + n products, not n^2, with each
+        node's own power a^(u-1).  `dual_weights` inverts them."""
+        u = self.u
+        rack_powers = [gamma ** u for gamma in self.leaders]
+        rack_factors = []
+        for e, c in enumerate(rack_powers):
+            acc = self.field.scalar(u)
+            for f, d in enumerate(rack_powers):
+                if f != e:
+                    acc = acc * (c - d)
+            rack_factors.append(acc)
+        return tuple(a ** (u - 1) * rack_factors[i // u] for i, a in enumerate(self.eval_points))
 
     @property
     def _dtype(self):

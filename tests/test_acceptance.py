@@ -302,8 +302,8 @@ def test_criterion_8_trend_report():
             rows = run_sweep(ExperimentConfig(
                 mode="C1", q=3, u=2, nbar=nbar, rbar=2, trials=1, seed=800 + nbar,
             ))
-            assert all(r.rank_ok and r.repair_ok == "true" for r in rows)
-            max_ratios.append(max(r.ratio for r in rows))
+            assert all(r.check.ok and r.repair_ok == "true" for r in rows)
+            max_ratios.append(max(r.check.ratio for r in rows))
         assert max_ratios == [Fraction(3, 2), Fraction(17, 12), Fraction(11, 8)]
         assert all(b <= a for a, b in zip(max_ratios, max_ratios[1:]))
 

@@ -1,9 +1,11 @@
 import io
 import json
+import random
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,8 +19,17 @@ from rackrepair.cli import (
     emit_report,
     main,
     params_from_config,
+    rows_for_instance,
     run_sweep,
     summarize,
+)
+from rackrepair.constructions import (
+    build,
+    c1_params,
+    c2_params,
+    cor7_params,
+    homogeneous_params,
+    verify_rank_condition,
 )
 from rackrepair.gf import GF
 
@@ -49,18 +60,18 @@ def test_params_from_config_dispatch():
 def test_run_sweep_c1():
     rows = run_sweep(c1_config())
     assert len(rows) == 6
-    assert all(r.repair_ok == "true" and r.rank_ok for r in rows)
-    assert all(r.bounds.b_min <= r.b < r.bounds.upper for r in rows)
+    assert all(r.repair_ok == "true" and r.check.ok for r in rows)
+    assert all(r.check.bounds.b_min <= r.check.b < r.check.bounds.upper for r in rows)
     # rows ordered by (rack, node)
-    assert [r.node for r in rows] == list(range(1, 7))
-    assert [r.rack for r in rows] == [1, 1, 2, 2, 3, 3]
+    assert [r.check.scheme.node for r in rows] == list(range(1, 7))
+    assert [r.check.scheme.rack for r in rows] == [1, 1, 2, 2, 3, 3]
 
 
 def test_run_sweep_trials_zero():
     rows = run_sweep(c1_config(trials=0))
     assert all(r.repair_ok == "skipped" for r in rows)
-    assert all(r.rank_ok for r in rows)
-    assert all(r.b >= r.bounds.b_min for r in rows)  # rank-based b still reported
+    assert all(r.check.ok for r in rows)
+    assert all(r.check.b >= r.check.bounds.b_min for r in rows)  # rank-based b still reported
 
 
 def test_sweep_deterministic():
@@ -129,10 +140,40 @@ def test_summarize_counts_rows_with_broken_bounds():
     # every C1 row has b_min = 8 and upper = 16; a row counts once whatever
     # it breaks, and an unenforced upper bound counts for nothing
     rows = run_sweep(c1_config(trials=1))
-    edited = [replace(row, b=b) for row, b in zip(rows, (7, 8, 15, 16, 16, 7))]
-    edited[4] = replace(edited[4], bounds=replace(edited[4].bounds, enforced=False))
+    edited = [replace(row, check=replace(row.check, b=b))
+              for row, b in zip(rows, (7, 8, 15, 16, 16, 7))]
+    unenforced = replace(edited[4].check.bounds, enforced=False)
+    edited[4] = replace(edited[4], check=replace(edited[4].check, bounds=unenforced))
     assert summarize(edited)["bound_violations"] == 3
-    assert sum(1 for r in edited if r.bounds.violations(r.b)) == 3
+    assert sum(1 for r in edited if r.check.bounds.violations(r.check.b)) == 3
+
+
+@pytest.mark.parametrize("params", [
+    c1_params(3, 2, 3, 2),
+    c2_params(3, 2, 6, (2, 2)),
+    c2_params(3, 2, 5, (2, 2)),
+    cor7_params(3, 2, 6, 5),
+    homogeneous_params(3, 3, 2),
+    c2_params(13, 3, 6, (2, 2)),
+], ids=["C1", "C2", "C2-remainder", "Cor7", "homogeneous", "C2-q13"])
+def test_rows_hold_their_nodes_check(params):
+    # every row holds its node's rank check without the plan's matrices,
+    # and its CSV line shows that check's b, bounds, case and ratio
+    inst = build(params)
+    rows = rows_for_instance(inst, 1, random.Random(7))
+    lines = emit_report(rows, "csv").splitlines()[1:params.n + 1]
+    assert len(rows) == params.n
+    for node, row, line in zip(range(1, params.n + 1), rows, lines):
+        check = verify_rank_condition(inst, node)
+        assert row.check == check and row.check.per_rack == check.per_rack
+        assert row.check.decoder is None and all(p is None for _, _, p in row.check.helpers)
+        values = dict(zip(CSV_HEADER.split(","), line.split(","), strict=True))
+        assert (values["rack"], values["node"]) == (str(check.scheme.rack), str(node))
+        assert int(values["b"]) == check.b
+        assert Fraction(values["b_min"]) == check.bounds.b_min
+        assert values["upper"] == ("" if check.bounds.upper is None else str(check.bounds.upper))
+        assert values["case"] == check.bounds.case
+        assert values["ratio"] == cli._ratio_str(check.ratio)
 
 
 def test_ratio_rendering_six_places():
@@ -224,10 +265,15 @@ def test_main_invalid_parameters_no_traceback(argv, names, capsys):
     (["build", "--rbar", "3", "--nbar", "100000000"], "l >= 2^100000000"),
     (["build", "--rbar", "3", "--nbar", "10000000000"], "l >= 2^10000000000"),
     (["build", "--q", str(2**4423 - 1), "--u", "2", "--rbar", "2", "--nbar", "3"], "q >= 2^4422"),
-], ids=["nbar1e7", "nbar1e8", "nbar1e10", "q-M4423"])
+    (["build", "--mode", "C2", "--primes", f"2,{2**4423 - 1}", "--nbar", "3"],
+     "need nbar - rbar >= 1"),
+    (["build", "--mode", "Cor7", "--rbar", str(2**4423 - 1), "--nbar", "3"],
+     "need nbar - rbar >= 1"),
+], ids=["nbar1e7", "nbar1e8", "nbar1e10", "q-M4423", "C2-prime-M4423", "Cor7-rbar-M4423"])
 def test_oversized_fields_are_refused_before_any_work(argv, shown, capsys):
-    # l = 3^nbar is refused by its floor 2^nbar without being formed, and
-    # the prime q = 2^4423 - 1 by its size before Miller-Rabin runs
+    # l = 3^nbar is refused by its floor 2^nbar without being formed, the
+    # prime q = 2^4423 - 1 by its size before Miller-Rabin runs, and so are
+    # a listed prime and a Cor7 rbar of that size, by nbar - rbar
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1
@@ -359,7 +405,7 @@ def test_rank_failure_row(monkeypatch, capsys):
     # `repair` at that node exits 1 with one line on stderr and no output
     from family_oracle import FamilyEvaluator
 
-    from rackrepair.constructions import build, c1_params, repair_family, verify_rank_condition
+    from rackrepair.constructions import repair_family
     from rackrepair.gf import rank_over_base
 
     def failing_at_node_3(instance, node):
@@ -371,11 +417,11 @@ def test_rank_failure_row(monkeypatch, capsys):
     monkeypatch.setattr("rackrepair.cli.verify_rank_condition", failing_at_node_3)
     rows = run_sweep(c1_config())
     bad = rows[2]
-    assert bad.node == 3 and bad.repair_ok == "false" and not bad.rank_ok
-    assert all(r.repair_ok == "true" and r.rank_ok for r in rows if r.node != 3)
+    assert bad.check.scheme.node == 3 and bad.repair_ok == "false" and not bad.check.ok
+    assert all(r.repair_ok == "true" and r.check.ok for r in rows if r.check.scheme.node != 3)
     inst = build(c1_params(3, 2, 3, 2))
     family = FamilyEvaluator(inst, repair_family(inst, 3))
-    assert bad.b == sum(rank_over_base(family.at(e)).rank for e in (1, 3))
+    assert bad.check.b == sum(rank_over_base(family.at(e)).rank for e in (1, 3))
     assert summarize(rows)["audit_failures"] == 1
     assert main(["sweep", "--mode", "C1", "--nbar", "3", "--rbar", "2"]) == 1
     assert "false,false" in capsys.readouterr().out
@@ -437,7 +483,6 @@ def test_main_repair_output(capsys):
 
 def test_describe_codeword():
     from rackrepair.cli import describe_codeword
-    from rackrepair.constructions import build, c1_params
     from rackrepair.rs import encode
 
     inst = build(c1_params(3, 2, 3, 2))

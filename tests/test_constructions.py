@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 from family_oracle import FamilyEvaluator
 
+from rackrepair import constructions
 from rackrepair.constructions import (
     build,
     c1_params,
@@ -79,6 +80,23 @@ def test_params_refuse_oversized_fields():
     for make in (lambda: c1_params(3, 2, 16000, 2), lambda: c2_params(3, 2, 26, (2, 2)),
                  lambda: cor7_params(3, 2, 26, 5)):
         with pytest.raises(ValueError, match=r"is too large: need q <= 65537 and l <= 4096"):
+            make()
+
+
+def test_params_refuse_sizes_before_primality_and_factoring(monkeypatch):
+    # nbar - rbar and the floor l >= 2^nbar come first: no listed prime or
+    # Cor7 rbar is tested or factored before them
+    def refused(n, *args):
+        raise AssertionError("primality test or factoring ran before the size checks")
+
+    monkeypatch.setattr(constructions, "is_prime", refused)
+    monkeypatch.setattr(constructions, "factorize", refused)
+    for make in (lambda: c2_params(3, 2, 3, (2, 2**89 - 1)),
+                 lambda: cor7_params(3, 2, 3, 2**89 - 1)):
+        with pytest.raises(ValueError, match=r"^need nbar - rbar >= 1$"):
+            make()
+    for make in (lambda: c2_params(3, 2, 100, (2, 2)), lambda: cor7_params(3, 2, 100, 5)):
+        with pytest.raises(ValueError, match=r"l >= 2\^100 is too large"):
             make()
 
 

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -105,6 +107,18 @@ def test_field_size_limits():
         with pytest.raises(ValueError, match=f"q = {q}, l = {l} is too large"):
             GF(q, l)
     assert gf.MAX_L * (gf.MAX_Q - 1) ** 2 <= 2**44
+
+
+def test_gf_cache_keeps_two_fields():
+    # a field holds its (l - 1) x l reduction table, so the cache keeps only
+    # the two fields built last: a code's own and GF(q, 1)
+    GF.cache_clear()
+    ref = weakref.ref(GF(3, 5))
+    assert GF(3, 5) is ref()
+    GF(3, 6), GF(3, 1)
+    gc.collect()
+    assert ref() is None
+    assert GF.cache_info().currsize == 2
 
 
 def test_find_irreducible_known_values():

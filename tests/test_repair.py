@@ -428,8 +428,8 @@ def test_rank_deficient_check_is_its_nodes_report(monkeypatch):
     assert check.per_rack == tuple((e, len(basis)) for e, basis, _ in check.helpers)
     assert [e for e, _ in check.per_rack] == [2, 3] and sum(b for _, b in check.per_rack) == check.b
     row = rows_for_instance(inst, 1, random.Random(5))[0]
-    assert row.node == 1 and not row.rank_ok
-    assert (row.b, row.bounds, row.ratio) == (check.b, check.bounds, check.ratio)
+    assert row.check.scheme.node == 1 and not row.check.ok
+    assert (row.check.b, row.check.bounds, row.check.ratio) == (check.b, check.bounds, check.ratio)
 
 
 @pytest.mark.parametrize("params", [

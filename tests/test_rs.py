@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import time
 import weakref
 
 import numpy as np
@@ -31,6 +32,20 @@ def u1_code():
     field = GF(3, 4)
     return CodeSpec(field=field, k=2, leaders=tuple(field.zeta**i for i in range(1, 7)),
                     alpha=1, u=1)
+
+
+ENCODE_CODES = {
+    "C1": lambda: build(c1_params(3, 2, 3, 2)).code,
+    "C2": lambda: build(c2_params(3, 2, 6, (2, 2))).code,
+    "C2-remainder": lambda: build(c2_params(3, 2, 5, (2, 2))).code,
+    "Cor7": lambda: build(cor7_params(3, 2, 6, 5)).code,
+    "homogeneous": lambda: build(homogeneous_params(3, 3, 2)).code,
+    "C1-q5": lambda: build(c1_params(5, 4, 3, 2, v=2)).code,
+    "C2-q13": lambda: build(c2_params(13, 3, 6, (2, 2))).code,
+    "C1-l128": lambda: build(c1_params(3, 2, 7, 2)).code,
+    "small_code": small_code,
+    "u1": u1_code,  # points zeta^i: encode and decode need no coset structure
+}
 
 
 def random_message(code, rng):
@@ -95,16 +110,34 @@ def test_dual_weights_hand_example():
 
 
 def test_dual_weights_nonzero_and_product_formula():
-    code = small_code()
-    lam = dual_weights(code)
-    for i, w in enumerate(lam):
-        assert not w.is_zero()
+    # on every code, the per-rack form of `weight_inverses` equals the
+    # plain product over all other points
+    for make in ENCODE_CODES.values():
+        code = make()
+        lam = dual_weights(code)
+        for i, w in enumerate(lam):
+            assert not w.is_zero()
+            acc = code.field.one
+            for j, b in enumerate(code.eval_points):
+                if j != i:
+                    acc = acc * (code.eval_points[i] - b)
+            assert w * acc == code.field.one
+            assert code.weight_inverses[i] == acc
+
+
+def test_weight_inverses_take_one_factor_per_rack():
+    # n = 768 points in 3 racks of u = 256: n^2 products took seconds
+    code = build(c1_params(257, 256, 3, 2)).code
+    start = time.perf_counter()
+    inverses = code.weight_inverses
+    assert time.perf_counter() - start < 2
+    a = code.eval_points
+    for i in (0, 255, 256, 767):
         acc = code.field.one
-        for j, b in enumerate(code.eval_points):
+        for j in range(code.n):
             if j != i:
-                acc = acc * (code.eval_points[i] - b)
-        assert w * acc == code.field.one
-        assert code.weight_inverses[i] == acc
+                acc = acc * (a[i] - a[j])
+        assert inverses[i] == acc
 
 
 def test_duality_randomized_oracle():
@@ -219,20 +252,6 @@ def test_dual_weights_keeps_only_the_last_code():
     gc.collect()
     assert ref() is None
     assert rs.dual_weights.cache_info().currsize == 1
-
-
-ENCODE_CODES = {
-    "C1": lambda: build(c1_params(3, 2, 3, 2)).code,
-    "C2": lambda: build(c2_params(3, 2, 6, (2, 2))).code,
-    "C2-remainder": lambda: build(c2_params(3, 2, 5, (2, 2))).code,
-    "Cor7": lambda: build(cor7_params(3, 2, 6, 5)).code,
-    "homogeneous": lambda: build(homogeneous_params(3, 3, 2)).code,
-    "C1-q5": lambda: build(c1_params(5, 4, 3, 2, v=2)).code,
-    "C2-q13": lambda: build(c2_params(13, 3, 6, (2, 2))).code,
-    "C1-l128": lambda: build(c1_params(3, 2, 7, 2)).code,
-    "small_code": small_code,
-    "u1": u1_code,  # points zeta^i: encode and decode need no coset structure
-}
 
 
 @pytest.mark.parametrize("name", list(ENCODE_CODES))
