@@ -22,21 +22,25 @@ element is the first candidate (same counting order) certified to have order
 q^l - 1 against the prime factorization of that order.  Exponents and orders
 are plain Python integers, so they stay exact far beyond machine word size.
 
+The Frobenius map a -> a^q is B-linear, so B[x]/(f), for any monic f,
+has one l x l residue matrix Q with Q a = a^q, kept in float64, where its
+matvecs are exact and take BLAS (the Frobenius technique of von zur Gathen
+& Shoup, 1992).
+
 The modulus search rejects most candidates without building their
 quotient ring: one matrix product per block of candidates with a table of
 x^i mod p, for every small irreducible p, finds the candidates with a small
-factor (a root included), and only the rest go through the distinct-degree
-sieve and Rabin's criterion.  The sieve's ring products, weighted by l^2,
-are spent from one `StepBudget` per search, so a degree whose search
-cannot finish within it is refused with `ValueError`.
+factor (a root included), and only the rest go through Rabin's test, which
+takes x^(q^d) mod f as d matvecs with the candidate's Q and needs a gcd
+only for a candidate with x^(q^l) = x.  Each candidate's test is charged
+its l^2-weighted products from one `StepBudget` per search, so a degree
+whose search cannot finish within it is refused with `ValueError`.
 
-Large powers use the Frobenius map a -> a^q, which is B-linear: each field
-holds one l x l residue matrix Q with Q a = a^q, and a^e is Horner's rule on
-the base-q digits of e, one Q step per digit (the Frobenius technique of
-von zur Gathen & Shoup, 1992).  The certification of the primitive element
-and the inverse a^(q^l - 2) both take their powers this way.  Square-and-
-multiply (`_QuotientRing.pow`) stays for the irreducible search, whose
-candidate rings have no Q.
+Large powers in a field use its Q too: a^e is Horner's rule on the base-q
+digits of e, one Q step per digit.  The certification of the primitive
+element and the inverse a^(q^l - 2) both take their powers this way, and
+square-and-multiply (`_QuotientRing.pow`) takes only exponents up to q:
+x^q for Q, and the powers of one base-q digit.
 
 Certifying zeta has two halves.  q^l - 1 is factored one cyclotomic piece
 Phi_d(q) at a time, by `factorize` in the residue class of its primes, all
@@ -138,6 +142,37 @@ class _QuotientRing:
             out[0] = 1
         return out
 
+    def mul_matrix(self, a: np.ndarray, dtype=np.int64) -> np.ndarray:
+        """The l x l residue matrix M over B with M @ b % q = a b mod f.
+
+        Column j is a * x^j: a shifted up by j (a Toeplitz gather), its part
+        above degree l - 1 folded back through the reduction table.  The fold
+        sums l - 1 residue products in `dtype`: exact in int64 and float64
+        under the field's bound, and in any `residue_dtype` the caller passes."""
+        l = self.l
+        pad = np.zeros(l - 1, dtype=dtype)
+        padded = np.concatenate([pad, a.astype(dtype), pad])
+        shifted = padded[np.subtract.outer(np.arange(2 * l - 1), np.arange(l)) + l - 1]
+        return reduce_residues(shifted[:l] + self.reduction.T.astype(dtype) @ shifted[l:], self.q)
+
+    def frobenius(self) -> np.ndarray:
+        """The l x l float64 residue matrix Q with Q @ h % q = h^q mod f, as
+        h -> h^q is B-linear: column j is x^(qj) mod f, column j - 1 times
+        r = x^q mod f, one matvec by r's `mul_matrix` each.  Every product
+        with Q or with that matrix sums l residue products, at most
+        l (q-1)^2: exact in float64 below 2^53 (`MAX_Q` and `MAX_L` keep it
+        at most 2^44), and a larger bound raises `AssertionError`."""
+        q, l = self.q, self.l
+        bound = l * (q - 1) ** 2
+        if bound >= 2**53:
+            raise AssertionError(f"Frobenius products of up to {bound} overflow float64")
+        cols = np.eye(l)  # row j holds column j of Q; rows past 0 are overwritten
+        # x^q mod f from the polynomial x (the zero vector at l = 1, unused)
+        step = self.mul_matrix(self.pow(np.eye(1, l, 1, dtype=np.int64)[0], q), np.float64)
+        for j in range(1, l):
+            cols[j] = (step @ cols[j - 1]).astype(np.int64) % q
+        return np.ascontiguousarray(cols.T)
+
 
 # ---------------------------------------------------------------------------
 # the one elimination kernel over GF(q): rank_over_base and dual_basis both
@@ -230,13 +265,14 @@ def residue_dtype(q: int, l: int, u: int, nbar: int):
 
 
 def reduce_residues(a: np.ndarray, q: int) -> np.ndarray:
-    """a mod q, in a's dtype, for an array of integers in a `residue_dtype`.
+    """a mod q, in a's dtype, for an array of integers in a `residue_dtype`
+    or in float64 below 2^53.
 
-    float32 entries are integers below 2^24, so a cast to int32, an integer
-    `%` and a cast back are exact, and about ten times cheaper than float32
-    `%`; other dtypes take `%` as they are."""
-    if a.dtype == np.float32:
-        return (a.astype(np.int32) % q).astype(np.float32)
+    float32 and float64 entries are integers below 2^24 and 2^53, so a cast
+    to int32 or int64, an integer `%` and a cast back are exact, and several
+    times cheaper than a float `%`; other dtypes take `%` as they are."""
+    if a.dtype in (np.float32, np.float64):
+        return (a.astype(np.int32 if a.dtype == np.float32 else np.int64) % q).astype(a.dtype)
     return a % q
 
 
@@ -341,7 +377,7 @@ class FieldElement:
             prev = d
         r = power[digits[-1]]
         for d in reversed(digits[:-1]):
-            r = field._frobenius @ r % q  # at most l (q-1)^2 <= 2^44
+            r = (field._frobenius @ r).astype(np.int64) % q
             if d:
                 r = ring.mul(r, power[d])
         return FieldElement(field, r)
@@ -458,16 +494,9 @@ class ExtensionField:
 
     @functools.cached_property
     def _frobenius(self) -> np.ndarray:
-        """The l x l residue matrix Q with Q @ a.vec % q = (a^q).vec, built
-        on first use: a -> a^q is B-linear, and column j is x^(qj) mod f,
-        column j - 1 times x^q (one `mul_matrix` step each)."""
-        l, q = self.l, self.q
-        Q = np.zeros((l, l), dtype=np.int64)
-        Q[0, 0] = 1
-        if l > 1:
-            step = self.mul_matrix(FieldElement(self, self._ring.pow(self.monomial(1).vec, q)))
-            for j in range(1, l):
-                Q[:, j] = step @ Q[:, j - 1] % q
+        """The field's float64 Frobenius matrix Q (`_QuotientRing.frobenius`),
+        Q @ a.vec % q = (a^q).vec, built on first use and read-only."""
+        Q = self._ring.frobenius()
         Q.flags.writeable = False
         return Q
 
@@ -497,17 +526,9 @@ class ExtensionField:
         return int(self._trace_form[0] @ a.vec % self.q)
 
     def mul_matrix(self, a: FieldElement, dtype=np.int64) -> np.ndarray:
-        """The l x l residue matrix M over B with M @ b.vec = (a * b).vec.
-
-        Column j is a * x^j: a shifted up by j (a Toeplitz gather), its part
-        above degree l - 1 folded back through the reduction table.  The fold
-        sums l - 1 residue products in `dtype`: exact in int64 under the
-        field's bound, and in any `residue_dtype` the caller passes."""
-        l, q = self.l, self.q
-        pad = np.zeros(l - 1, dtype=dtype)
-        padded = np.concatenate([pad, self._check(a).vec.astype(dtype), pad])
-        shifted = padded[np.subtract.outer(np.arange(2 * l - 1), np.arange(l)) + l - 1]
-        return reduce_residues(shifted[:l] + self._ring.reduction.T.astype(dtype) @ shifted[l:], q)
+        """The l x l residue matrix M over B with M @ b.vec = (a * b).vec, in
+        `dtype` (`_QuotientRing.mul_matrix`)."""
+        return self._ring.mul_matrix(self._check(a).vec, dtype)
 
     def dual_basis(self, basis: Sequence[FieldElement]) -> np.ndarray:
         """Dual basis {mu_j} with tr(basis_i * mu_j) = delta_ij, as the
@@ -572,24 +593,20 @@ def find_irreducible(q: int, l: int) -> tuple[int, ...]:
 
     Candidates are taken `_CHUNK` at a time, and `_FactorTable` rejects
     those with an irreducible factor of degree at most D = `_table_degree`
-    (q, l) with one matrix product per chunk: small-factor removal before a
-    distinct-degree test (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, ch. 14).  Its degree-1 factors x - a, x included, cover the
-    candidates with a root in GF(q).  The rest go through `_is_irreducible`,
-    a distinct-degree sieve that tests f coprime to the product of
-    x^(q^d) - x mod f over a block of `_SIEVE_BLOCK` degrees d at a time, up
-    to d = l/2 (the batching of von zur Gathen & Shoup, 1992).  A candidate
-    fails as soon as one block finds a factor, and the one that passes every
-    block is irreducible, since a reducible f has a factor of degree <= l/2;
-    it is certified by Rabin's criterion, x^(q^l) = x mod f with
-    gcd(x^(q^(l/p)) - x, f) = 1 for every prime p | l, whose gcds the
-    sieve's blocks include.  The table only skips candidates the sieve
-    would reject, so the modulus is the first irreducible either way.
+    (q, l) with one matrix product per chunk: small-factor removal before an
+    irreducibility test (von zur Gathen & Gerhard, *Modern Computer Algebra*,
+    ch. 14).  Its degree-1 factors x - a, x included, cover the candidates
+    with a root in GF(q).  The rest go through `_is_irreducible`, Rabin's
+    test by the candidate's Frobenius matrix.  The table only skips
+    candidates the test would reject, so the modulus is the first
+    irreducible either way.
 
-    The sieve's ring products, each weighted by l^2, are spent from one
-    `StepBudget` of `_SEARCH_BUDGET` that reserves the answer's own l
-    Frobenius steps up front, so a search too large to finish raises
-    `ValueError` naming l, on work done and never on wall time.
+    Each tested candidate is charged `_candidate_products`, (2l + the
+    products of x^q) l^2, from one `StepBudget` of `_SEARCH_BUDGET`, and the
+    same amount is reserved for the answer up front, so a search too large
+    to finish raises `ValueError` naming l, on work done and never on wall
+    time.  The test has no early exit, so a rejected candidate costs as much
+    as the answer: about 2 l^3.
     """
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
@@ -599,7 +616,7 @@ def find_irreducible(q: int, l: int) -> tuple[int, ...]:
         return (0, 1)  # x itself; every monic linear polynomial is irreducible
     budget = StepBudget(_SEARCH_BUDGET, f"no irreducible polynomial of degree l = {l} over "
                         f"GF({q}) within the search budget of {{total}} coefficient products")
-    budget.spend(0, reserve=_frobenius_products(q) * l**3)
+    budget.spend(0, reserve=_candidate_products(q, l))
     table = _FactorTable(_small_irreducibles(q, _table_degree(q, l)), l + 1, q)
     candidates = _counting_order(q, l)
     while chunk := list(itertools.islice(candidates, _CHUNK)):
@@ -709,49 +726,35 @@ class _FactorTable:
         return (np.maximum.reduceat(residues, self.starts, axis=1) == 0).any(axis=1)
 
 
-_SIEVE_BLOCK = 8  # Frobenius terms multiplied per coprimality check in `_is_irreducible`
-_SEARCH_BUDGET = 1 << 32  # l^2-weighted ring products per modulus search, 16 times GF(3^243)'s
+_SEARCH_BUDGET = 1 << 32  # l^2-weighted products per modulus search, twice GF(3^243)'s
 
 
-def _frobenius_products(q: int) -> int:
-    """The ring products of one Frobenius step h -> h^q, by square-and-multiply."""
-    return q.bit_length() - 1 + q.bit_count() - 1
+def _candidate_products(q: int, l: int) -> int:
+    """What Rabin's test is charged for one candidate of degree l, in
+    products of l^2 coefficient products each: x^q mod f by square-and-
+    multiply, l to build its Frobenius matrix and l Frobenius steps."""
+    return (2 * l + q.bit_length() + q.bit_count() - 2) * l * l
 
 
 def _is_irreducible(coeffs: np.ndarray, q: int, l: int, budget: StepBudget) -> bool:
     """Whether the monic f = `coeffs` of degree l >= 2 is irreducible over
-    GF(q), by a distinct-degree sieve with one coprimality check per block.
+    GF(q), by Rabin's test (Rabin, 1980): f is irreducible exactly when
+    x^(q^l) = x mod f and gcd(x^(q^(l/p)) - x, f) = 1 for every prime p | l.
 
-    With h_d = x^(q^d) mod f, the terms h_d - x for the d of one block of
-    `_SIEVE_BLOCK` degrees (the last block ends at l/2) are multiplied mod f,
-    and f is tested coprime to the product.  This is exact: an irreducible
-    g | f divides h_d - x exactly when deg g | d, and, being prime, divides
-    the product exactly when it divides one of its terms; so a block fails
-    exactly when f has an irreducible factor whose degree divides some d in
-    it, and every reducible f has a factor of degree <= l/2.  A product that
-    is 0 mod f is not coprime to f.  The last l - l/2 Frobenius steps check
-    x^(q^l) = x, which completes Rabin's criterion (its d = l/p checks are
-    among the sieve's).  Each degree of the sieve spends its Frobenius step
-    and one product (its term's, or its share of the coprimality check)
-    from `budget`, and each later step its Frobenius step, every product
-    weighted by l^2."""
-    step = _frobenius_products(q)
-    ring = _QuotientRing(q, coeffs)
-    x = np.zeros(l, dtype=np.int64)
-    x[1] = 1
-    h = x
-    half = l // 2
-    for d in range(1, half + 1):
-        budget.spend((step + 1) * l * l)
-        h = ring.pow(h, q)
-        term = (h - x) % q
-        prod = term if (d - 1) % _SIEVE_BLOCK == 0 else ring.mul(prod, term)
-        if (d % _SIEVE_BLOCK == 0 or d == half) and not _coprime(prod, coeffs, q):
-            return False
-    for _ in range(l - half):
-        budget.spend(step * l * l)
-        h = ring.pow(h, q)
-    return bool(np.array_equal(h, x))
+    h_d = x^(q^d) mod f comes from h_(d-1) by one matvec with f's Frobenius
+    matrix (`_QuotientRing.frobenius`), for d = 1 .. l, keeping h_(l/p).  A
+    candidate that fails x^(q^l) = x, as most reducible ones do, needs no
+    gcd.  There is no early exit, so every candidate is charged the same
+    `_candidate_products` from `budget` before any work."""
+    budget.spend(_candidate_products(q, l))
+    Q = _QuotientRing(q, coeffs).frobenius()
+    h = x = np.eye(1, l, 1, dtype=np.int64)[0]  # the polynomial x
+    kept = {l // p: x for p in divisors(l) if is_prime(p)}
+    for d in range(1, l + 1):
+        h = (Q @ h).astype(np.int64) % q
+        if d in kept:
+            kept[d] = h
+    return bool(np.array_equal(h, x)) and all(_coprime(g - x, coeffs, q) for g in kept.values())
 
 
 def factor_field_order(q: int, l: int) -> tuple[int, ...]:

@@ -69,10 +69,13 @@ class CodeSpec:
     def point_powers(self) -> np.ndarray:
         """The (k, u) table alpha^(jm) (row m, column j - 1), in the code's
         `residue_dtype`: encode's factors f_m alpha^(jm) for node j of every
-        rack.  Built once per code, on first use."""
-        q = self.field.q
-        return np.array([[pow(self.alpha, j * m, q) for j in range(1, self.u + 1)]
-                         for m in range(self.k)], dtype=self._dtype)
+        rack.  Built once per code, on first use: row m is row m - 1 times
+        row 1 = alpha^j, one int64 vector product mod q each."""
+        step = np.array([pow(self.alpha, j, self.field.q) for j in range(1, self.u + 1)])
+        rows = np.ones((self.k, self.u), dtype=np.int64)
+        for m in range(1, self.k):
+            rows[m] = rows[m - 1] * step % self.field.q
+        return rows.astype(self._dtype)
 
     @functools.cached_property
     def point_matrices(self) -> np.ndarray:

@@ -6,7 +6,8 @@ that pass a per-degree distinct-degree sieve: one gcd of x^(q^d) - x with f
 for every d <= l/2.  x^(q^d) comes from d products with the matrix of the
 GF(q)-linear map h -> h^q mod f, built by repeated multiplication by x.  It
 never reads `rackrepair.gf`: its polynomial division, gcd and search order
-are its own, so it shares no code with the blocked sieve it checks.
+are its own, so it shares no code with the Rabin test it checks, and
+`is_irreducible` gives its verdict on one polynomial.
 
 Polynomials are 1-d int64 arrays, lowest degree first.
 
@@ -102,12 +103,17 @@ def passes_sieve(f, q):
     return True
 
 
+def is_irreducible(f, q):
+    """Whether the monic f of degree >= 2 is irreducible over GF(q)."""
+    return bool(f[0]) and not has_root(f, q) and passes_sieve(f, q)
+
+
 def irreducibles(q, l):
     """The monic irreducible polynomials of degree l >= 2 over GF(q), in
     counting order, as coefficient tuples (leading 1 last)."""
     for digits in itertools.product(range(q), repeat=l):
         f = np.array(digits[::-1] + (1,), dtype=np.int64)
-        if f[0] and not has_root(f, q) and passes_sieve(f, q):
+        if is_irreducible(f, q):
             yield tuple(int(c) for c in f)
 
 

@@ -160,31 +160,34 @@ ORACLE_FIELDS = [(2, 2), (3, 2), (5, 3), (2, 64), (2, 128), (3, 32), (3, 64), (3
 
 @pytest.mark.parametrize("q,l", ORACLE_FIELDS, ids=[f"{q}^{l}" for q, l in ORACLE_FIELDS])
 def test_find_irreducible_matches_per_degree_oracle(q, l):
-    # the blocked sieve picks the same modulus as one gcd per degree
+    # Rabin's test picks the same modulus as one gcd per degree
     assert find_irreducible(q, l) == next(irreducibles(q, l))
 
 
 def test_find_irreducible_pinned_large_degrees():
-    # l = 243 and 256, where the search takes 70 and 32 candidates to the sieve
+    # l = 243 and 256, where the search takes 70 and 32 candidates to Rabin's
+    # test, about 47% and 25% of its budget
     assert find_irreducible(3, 243) == (1, 0, 0, 1, 0, 1, 1) + (0,) * 236 + (1,)
     assert find_irreducible(3, 256) == (2, 0, 2, 1, 1, 1) + (0,) * 250 + (1,)
 
 
 def test_search_budget(monkeypatch):
-    # the sieve spends its ring products, each weighted by l^2, from one
-    # budget per search: an irreducible candidate of degree 64 over GF(3)
-    # takes 32 sieve degrees of a Frobenius step (2 products) and one
-    # product, then 32 more Frobenius steps
+    # Rabin's test charges every candidate the same l^2-weighted products
+    # before any work: at degree 64 over GF(3), x^3 mod f (2 products), 64
+    # to build its Frobenius matrix and 64 Frobenius steps
     f = find_irreducible(3, 64)
     budget = StepBudget(gf._SEARCH_BUDGET, "{total}")
     assert gf._is_irreducible(np.array(f), 3, 64, budget)
-    assert gf._SEARCH_BUDGET - budget.left == (32 * 3 + 32 * 2) * 64**2
-    assert [gf._frobenius_products(q) for q in (2, 3, 13)] == [1, 2, 5]
-    # a budget that cannot pay for the answer's own l Frobenius steps is
-    # refused before any candidate; one that runs out midway raises too
+    assert gf._SEARCH_BUDGET - budget.left == (2 * 64 + 2) * 64**2 == 532_480
+    assert [gf._candidate_products(q, 64) // 64**2 - 2 * 64 for q in (2, 3, 13)] == [1, 2, 5]
+    # l = 1296 is refused before any candidate: its reserve passes 2^32
+    assert gf._candidate_products(3, 1296) == 4_356_923_904 > gf._SEARCH_BUDGET
+    # a budget that cannot pay for the answer's own test is refused before
+    # any candidate; one that runs out midway raises too: 10^6 pays for the
+    # first of the six candidates that reach the test and refuses the second
     tested = []
-    sieve = gf._is_irreducible
-    monkeypatch.setattr(gf, "_is_irreducible", lambda *args: tested.append(1) or sieve(*args))
+    rabin = gf._is_irreducible
+    monkeypatch.setattr(gf, "_is_irreducible", lambda *args: tested.append(1) or rabin(*args))
     monkeypatch.setattr(gf, "_SEARCH_BUDGET", 2 * 64**3 - 1)
     with pytest.raises(ValueError, match=r"^no irreducible polynomial of degree l = 64 over "
                                          r"GF\(3\) within the search budget of 524287 "):
@@ -193,7 +196,7 @@ def test_search_budget(monkeypatch):
     monkeypatch.setattr(gf, "_SEARCH_BUDGET", 10**6)
     with pytest.raises(ValueError, match=r"degree l = 64 over GF\(3\) within the search budget of 1000000"):
         find_irreducible(3, 64)
-    assert tested
+    assert len(tested) == 2
 
 
 @pytest.mark.parametrize("q", [2, 3, 13])
@@ -216,21 +219,66 @@ def test_reduction_table_matches_division(q, s):
         assert np.array_equal(red[j], np.pad(rem, (0, l - rem.size))), j
 
 
-@pytest.mark.parametrize("d", [5, 8, 9, 16, 20])
-def test_block_sieve_rejects_products(d):
-    # f = g h with g, h irreducible of degrees d and l - d has no root, and
-    # only the block holding d can see it: inside the first block (5), at a
-    # block end (8, 16), just past one (9), and at the last block's end,
-    # l/2 = 20, where g and h are the first two irreducibles of degree 20
+# products of degree l = 40 = 2^3 5, as the (degree, index in counting
+# order) of each irreducible factor: with a factor whose degree does not
+# divide 40, x^(q^40) != x; two distinct factors of degree 20 pass that and
+# fail the gcd at l/2 = 20, five of degree 8 the gcd at l/5 = 8 alone, and
+# the square of one of degree 20 fails x^(q^40) = x, as x^(q^40) - x is
+# squarefree
+PRODUCTS = {"5+35": ((5, 0), (35, 0)), "8+32": ((8, 0), (32, 0)), "9+31": ((9, 0), (31, 0)),
+            "16+24": ((16, 0), (24, 0)), "20+20": ((20, 0), (20, 1)),
+            "5x8": tuple((8, i) for i in range(5)), "20^2": ((20, 0), (20, 0))}
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_rabin_rejects_products(name):
     q, l = 3, 40
-    found = irreducibles(q, d)
-    g = next(found)
-    h = next(found) if d == l - d else next(irreducibles(q, l - d))
-    f = poly_mul(np.array(g), np.array(h), q)
+    factors = [np.array(next(itertools.islice(irreducibles(q, d), i, None))) for d, i in PRODUCTS[name]]
+    f = np.array([1])
+    for g in factors:
+        f = poly_mul(f, g, q)
     assert f.size == l + 1 and f[-1] == 1
+    x = np.eye(1, l, 1, dtype=np.int64)[0]
+    h, Q = x, frobenius_matrix(f, q)
+    for _ in range(l):
+        h = Q @ h % q
+    assert np.array_equal(h, x) == (name in ("20+20", "5x8"))  # the gcd's cases
     budget = StepBudget(gf._SEARCH_BUDGET, "{total}")
     assert not gf._is_irreducible(f, q, l, budget)
     assert gf._is_irreducible(np.array(next(irreducibles(q, l))), q, l, budget)
+
+
+def mobius(n):
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+# one prime factor of l (8 = 2^3, 9 = 3^2), two (6, 12 = 2^2 3), repeated
+# ones (8, 9, 12), over GF(3) and GF(2)
+EXHAUSTIVE = [(3, 6), (3, 8), (3, 9), (2, 8), (2, 12)]
+
+
+@pytest.mark.parametrize("q,l", EXHAUSTIVE, ids=[f"{q}^{l}" for q, l in EXHAUSTIVE])
+def test_rabin_matches_oracle_on_every_candidate(q, l):
+    # every monic candidate of degree l, with no small-factor table in front:
+    # Rabin's verdicts are the oracle's, and the irreducibles number
+    # (1/l) sum_(d | l) mu(d) q^(l/d) (Gauss)
+    budget = StepBudget(10**12, "{total}")
+    count = 0
+    for digits in itertools.product(range(q), repeat=l):
+        f = np.array(digits[::-1] + (1,), dtype=np.int64)
+        verdict = gf._is_irreducible(f, q, l, budget)
+        assert verdict == field_oracle.is_irreducible(f, q), f
+        count += verdict
+    assert count == sum(mobius(d) * q ** (l // d) for d in divisors(l)) // l
+    assert 10**12 - budget.left == q**l * gf._candidate_products(q, l)
 
 
 def test_coprime_matches_oracle_gcd():
@@ -291,12 +339,27 @@ def base_q_digits(e, q):
     return digits
 
 
+def int64_frobenius(field):
+    """Q in int64, column j - 1 times the int64 multiplication matrix of x^q."""
+    l, q = field.l, field.q
+    Q = np.zeros((l, l), dtype=np.int64)
+    Q[0, 0] = 1
+    if l > 1:
+        step = field.mul_matrix(FieldElement(field, field._ring.pow(field.monomial(1).vec, q)))
+        for j in range(1, l):
+            Q[:, j] = step @ Q[:, j - 1] % q
+    return Q
+
+
 @pytest.mark.parametrize("q,l", POWER_FIELDS, ids=[f"{q}^{l}" for q, l in POWER_FIELDS])
 def test_frobenius_matrix_matches_oracle(q, l):
-    # Q @ a = a^q, column j = x^(qj) mod f, and l steps are the identity
+    # Q @ a = a^q, column j = x^(qj) mod f, and l steps are the identity;
+    # the float64 Q holds the residues of the int64 build
     field = GF(q, l)
     Q = field._frobenius
+    assert Q.dtype == np.float64 and not Q.flags.writeable
     assert np.array_equal(Q, frobenius_matrix(np.array(field.modulus, dtype=np.int64), q))
+    assert np.array_equal(Q, int64_frobenius(field))
     rng = random.Random(q + l)
     for _ in range(3):
         a = field.random_element(rng)
@@ -304,6 +367,40 @@ def test_frobenius_matrix_matches_oracle(q, l):
         for _ in range(l):
             r = Q @ r % q
         assert np.array_equal(r, a.vec)
+
+
+RING_FIELDS = [(2, 16), (3, 64), (13, 64), (257, 4), (65537, 2), (65537, 4)]
+
+
+@pytest.mark.parametrize("q,l", RING_FIELDS, ids=[f"{q}^{l}" for q, l in RING_FIELDS])
+def test_ring_frobenius_matches_square_and_multiply(q, l):
+    # Q @ h % q = h^q mod f against `_QuotientRing.pow`, for the field's
+    # modulus and for a seeded monic f that need not be irreducible
+    rng = random.Random(7 * q + l)
+    for f in (find_irreducible(q, l), [rng.randrange(q) for _ in range(l)] + [1]):
+        ring = gf._QuotientRing(q, np.array(f))
+        Q = ring.frobenius()
+        assert Q.dtype == np.float64 and Q.shape == (l, l)
+        for _ in range(4):
+            h = np.array([rng.randrange(q) for _ in range(l)], dtype=np.int64)
+            assert np.array_equal(Q @ h % q, ring.pow(h, q))
+
+
+def test_ring_frobenius_float64_bound():
+    # at l = 2, the prime q = 2^26 - 5 keeps l (q-1)^2 below 2^53, exact in
+    # float64; the next prime, 2^26 + 15, passes it, and so does exactly
+    # 2^53 at q = 2^26 + 1: the build raises before any product
+    f = np.array([1, 0, 1])
+    q = 2**26 - 5
+    ring = gf._QuotientRing(q, f)
+    Q = ring.frobenius()
+    rng = random.Random(53)
+    for _ in range(8):
+        h = np.array([rng.randrange(q) for _ in range(2)], dtype=np.int64)
+        assert np.array_equal((Q @ h).astype(np.int64) % q, ring.pow(h, q))
+    for q, bound in ((2**26 + 15, 2 * (2**26 + 14) ** 2), (2**26 + 1, 2**53)):
+        with pytest.raises(AssertionError, match=f"^Frobenius products of up to {bound} overflow float64$"):
+            gf._QuotientRing(q, f).frobenius()
 
 
 @pytest.mark.parametrize("q,l", POWER_FIELDS, ids=[f"{q}^{l}" for q, l in POWER_FIELDS])
@@ -375,7 +472,7 @@ def test_primitive_element_certified():
 
 
 # the fields whose certification is checked against the oracles: the
-# sieve's fields, q = 65537, and l with odd prime factors (36, 48, 72)
+# search's fields, q = 65537, and l with odd prime factors (36, 48, 72)
 CERTIFY_FIELDS = ORACLE_FIELDS + [(65537, 4), (13, 36), (7, 48), (3, 72)]
 
 

@@ -125,6 +125,21 @@ def test_dual_weights_nonzero_and_product_formula():
             assert code.weight_inverses[i] == acc
 
 
+POINT_POWER_CODES = {"C1-q257": lambda: c1_params(257, 256, 3, 2),
+                     "C2": lambda: c2_params(3, 2, 6, (2, 2)),
+                     "C2-q13": lambda: c2_params(13, 3, 6, (2, 2))}
+
+
+@pytest.mark.parametrize("name", POINT_POWER_CODES)
+def test_point_powers_match_pow_table(name):
+    # rows built as row m - 1 times row 1 hold alpha^(jm), in the code's dtype
+    code = build(POINT_POWER_CODES[name]()).code
+    table = np.array([[pow(code.alpha, j * m, code.field.q) for j in range(1, code.u + 1)]
+                      for m in range(code.k)], dtype=code._dtype)
+    assert code.point_powers.dtype == table.dtype
+    assert np.array_equal(code.point_powers, table)
+
+
 def test_weight_inverses_take_one_factor_per_rack():
     # n = 768 points in 3 racks of u = 256: n^2 products took seconds
     code = build(c1_params(257, 256, 3, 2)).code
