@@ -172,7 +172,7 @@ class CodeInstance:
     def beta_powers(self) -> tuple[FieldElement, ...]:
         """beta^a, beta = zeta^u, for every exponent a = t + s * exponent(e)
         a repair family can take (t < l, s < rbar_eff): one table per code,
-        shared by every node's rows."""
+        from which `verify_rank_condition` reads every family's values."""
         params = self.params
         beta = self.field.zeta ** params.u
         powers = [self.field.one]
@@ -196,7 +196,7 @@ def digit_system(params: SchemeParams) -> RadixSystem:
 def build(params: SchemeParams) -> CodeInstance:
     """Construct the field, evaluation points, and code for validated params.
 
-    Asserts, once per code, the identity every repair row rests on: each
+    Asserts, once per code, the identity every family's values rest on: each
     point of rack e has point^u = beta^exponent(e) with beta = zeta^u, so
     zeta^(ut) point^(us) = beta^(t + s * exponent(e)) for every monomial.
     """
@@ -280,23 +280,20 @@ def bounds(params: SchemeParams, node: int) -> BoundSet:
 @dataclass(frozen=True)
 class RepairScheme:
     """The polynomial family {g_(t,s)(x) = zeta^(ut) x^(us)} for one failed
-    node, as (t, s) exponent descriptors in a fixed enumeration order
-    (t ascending, then s ascending), with its evaluations: row e - 1 holds
-    the family's values at every point of rack e."""
+    node as integers: its rack, index set and (t, s) exponent descriptors
+    in a fixed order (t ascending, then s ascending).  At every point of
+    rack e, g_(t,s) is beta^(t + s * exponent(e)) with beta = zeta^u."""
 
     node: int
     rack: int
     index_set: tuple[int, ...]
     descriptors: tuple[tuple[int, int], ...]
-    rows: tuple[tuple[FieldElement, ...], ...]
 
 
 def repair_family(instance: CodeInstance, node: int) -> RepairScheme:
-    """The failed node's repair plan, built in this one place: index set,
-    descriptors, and rows from one power table of beta = zeta^u (row e - 1 is
-    beta^(t + s * exponent(e)) per descriptor, equal to direct evaluation at
-    rack e by the point identity `build` asserts).  Index-set size and degree
-    bounds are asserted here; the rank is `verify_rank_condition`'s job."""
+    """The failed node's family: its index set and descriptors.  Index-set
+    size and degree bounds are asserted here; its values and its rank are
+    `verify_rank_condition`'s job."""
     params = instance.params
     e, _ = instance.code.rack_of(node)
     t_set = index_set(instance.radix, e, params.m)
@@ -308,10 +305,7 @@ def repair_family(instance: CodeInstance, node: int) -> RepairScheme:
     if params.kprime is not None and max_deg > params.n - params.kprime - 1:
         raise AssertionError("repair polynomial degree exceeds n - k' - 1")
     descriptors = tuple((t, s) for t in t_set for s in range(params.rbar_eff))
-    powers = instance.beta_powers
-    rows = tuple(tuple(powers[t + s * x] for (t, s) in descriptors)
-                 for x in instance.radix.weights)
-    return RepairScheme(node=node, rack=e, index_set=t_set, descriptors=descriptors, rows=rows)
+    return RepairScheme(node=node, rack=e, index_set=t_set, descriptors=descriptors)
 
 
 @dataclass(frozen=True)
@@ -349,38 +343,41 @@ def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
     """Check that the failed node's family has rank_B = l at its own rack,
     and compile the rack's repair plan in the same pass.
 
-    Whenever h = 0, also asserts that the sorted host exponents
-    t + s * exponent(host) are exactly scale * [0, l-1], where scale is the
+    This is the one place a family turns into field values: rack e's
+    exponents t + s * exponent(e) are formed once per descriptor, and its
+    row is read from `CodeInstance.beta_powers`.  Whenever h = 0, the sorted
+    host exponents must be exactly scale * [0, l-1], where scale is the
     radix weight of position y on the last block and 1 elsewhere (1 in the
     basic modes, where the evaluated set is {(zeta^u)^a : a in [0, l-1]}).
-    The rank is l exactly when the host row of `repair_family` has a dual
-    basis mu, so that is the check (`rank_over_base` only reports a failed
-    rank); no point is evaluated here.  Each helper rack's row is reduced
-    once, for its basis and P_e, and at rank l mu gives the decoder; mu is
-    not kept.  All of it, `bounds` included, depends on the node only
-    through its rack, so `CodeInstance.rack_memo` keeps the check of the
-    rack checked last, which every node of that rack shares.
+    The rank is l exactly when the host row has a dual basis mu, so that is
+    the check (`rank_over_base` only reports a failed rank); no point is
+    evaluated here.  Each helper rack's row is reduced once, for its basis
+    and P_e, and at rank l mu gives the decoder; no row and no mu is kept.
+    All of it, `bounds` included, depends on the node only through its
+    rack, so `CodeInstance.rack_memo` keeps the check of the rack checked
+    last, which every node of that rack shares.
     """
     params, field, code = instance.params, instance.field, instance.code
     host, _ = code.rack_of(node)
     memo = instance.rack_memo
     if host not in memo:
         memo.clear()
-        scheme = repair_family(instance, node)
-        sums = sorted(t + s * instance.radix.weights[host - 1] for (t, s) in scheme.descriptors)
+        scheme, weights = repair_family(instance, node), instance.radix.weights
+        exponents = [[t + s * x for (t, s) in scheme.descriptors] for x in weights]
         if params.h == 0:
             w, y = rack_wy(params, host)
-            scale = instance.radix.weights[y - 1] if w == params.nprime - 1 else 1
-            if sums != [scale * a for a in range(params.l)]:
+            scale = weights[y - 1] if w == params.nprime - 1 else 1
+            if sorted(exponents[host - 1]) != [scale * a for a in range(params.l)]:
                 raise AssertionError("coset decomposition of the host exponents failed")
+        rows = [[instance.beta_powers[a] for a in row] for row in exponents]
         try:
-            mu, rank = field.dual_basis(scheme.rows[host - 1]), params.l
+            mu, rank = field.dual_basis(rows[host - 1]), params.l
         except ValueError:  # rank deficient: reduce once more to report the rank
-            mu, rank = None, rank_over_base(scheme.rows[host - 1]).rank
+            mu, rank = None, rank_over_base(rows[host - 1]).rank
         q, dtype = params.q, code.weight_matrices.dtype
         tf = field._trace_form.astype(dtype)
         helpers, coords = [], []
-        for e, values in enumerate(scheme.rows, 1):
+        for e, values in enumerate(rows, 1):
             if e != host:
                 profile = rank_over_base(values)
                 basis = tuple(values[p] for p in profile.pivots)

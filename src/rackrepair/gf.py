@@ -541,19 +541,20 @@ class ExtensionField:
         basis (otherwise this raises), and the right block is then ZT^-1,
         copied out so the l x 2l reduction is not kept alive.  The Kronecker
         condition ZT mu^T = I is re-verified exactly before returning.  Both
-        products are float64 matrix products, each reduced once: their sums
-        of l residue products stay below l (q-1)^2 <= 2^44 < 2^53, so they
-        are exact.
+        products are float64 matrix products, each reduced once by
+        `reduce_residues`: their sums of l residue products stay below
+        l (q-1)^2 <= 2^44 < 2^53, so they are exact.
         """
         l, q = self.l, self.q
         if len(basis) != l:
             raise ValueError(f"need exactly {l} basis elements")
-        ZT = np.stack([self._check(b).vec for b in basis]) @ self._trace_form.astype(np.float64) % q
+        Z = np.stack([self._check(b).vec for b in basis])
+        ZT = reduce_residues(Z @ self._trace_form.astype(np.float64), q)
         R, pivots = _rref(np.concatenate([ZT, np.eye(l)], axis=1), q)
         if pivots != tuple(range(l)):
             raise ValueError("basis is rank deficient over the base field")
         mu = R[:, l:].T.copy()
-        if not np.array_equal(ZT @ mu.T % q, np.eye(l)):
+        if not np.array_equal(reduce_residues(ZT @ mu.T, q), np.eye(l)):
             raise AssertionError("dual basis failed the Kronecker condition")
         return mu
 

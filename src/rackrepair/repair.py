@@ -54,12 +54,13 @@ class RepairSession:
     """Per-node repair: its rack's plan, as `verify_rank_condition` compiles
     it, and its B-scalar, run on any number of codewords.
 
-    Let g_i(e) be row i of rack e's rows, z_i = g_i(host), mu_i the dual
+    Let g_i(e) be the value of the family's i-th polynomial at rack e
+    (`verify_rank_condition` evaluates it), z_i = g_i(host), mu_i the dual
     basis of the z_i, sigma_e the sum of lam_j c_j over rack e and nu that
     sum over the surviving host nodes.  Helper rack e sends
     payload_e = P_e @ sigma_e, the traces against the first maximal
-    independent subset of its rows (P_e = basis rows @ T); their traces
-    against all rows are h = sum_e coords_e @ payload_e.  The parity check
+    independent subset of its values (P_e = basis rows @ T); their traces
+    against all values are h = sum_e coords_e @ payload_e.  The parity check
     gives tr(z_i lam_f c_f) = -(h_i + tr(z_i nu)), so c_f = H (expand(h) + nu)
     with host map H = -M(lam_f^-1), read from the code's stored lambda_f^-1.
     The decoder is [H | D_e ...], D_e = H mu^T coords_e, for the rack's

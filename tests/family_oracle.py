@@ -2,8 +2,9 @@
 
 `FamilyEvaluator` evaluates every g_(t,s)(x) = zeta^(ut) x^(us) of a scheme
 at the code's points with field products.  It reads only the scheme's
-descriptors and the code's points, never `RepairScheme.rows` or a power
-table of zeta^u, so it shares no code with the rows it checks.
+descriptors and index set and the code's points, never the power table of
+zeta^u that `verify_rank_condition` reads the family's values from, so it
+shares no code with the values it checks.
 """
 
 from rackrepair.constructions import CodeInstance, RepairScheme

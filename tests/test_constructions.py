@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from family_oracle import FamilyEvaluator
@@ -247,18 +247,41 @@ def test_ablated_family_drops_rank():
     c1_params(5, 4, 3, 2, v=2),
 ], ids=["C1", "C2", "C2-remainder", "Cor7", "homogeneous", "C1-q5-v2"])
 def test_evaluations_position_independent(params):
-    # the power-table rows equal direct evaluation at every point, so
-    # g(alpha_(e,j)) does not depend on j; one failed node per rack.  Every
-    # node's rows are entries of the code's one power table, not copies.
+    # the power table's beta^(t + s * exponent(e)) equals direct evaluation
+    # at every point, so g(alpha_(e,j)) does not depend on j; one failed
+    # node per rack
     inst = build(params)
-    table = {id(p) for p in inst.beta_powers}
     for host in range(1, params.nbar + 1):
         scheme = repair_family(inst, inst.code.node_index(host, 1))
-        assert all(id(v) in table for row in scheme.rows for v in row)
         ev = FamilyEvaluator(inst, scheme)
-        for e in range(1, params.nbar + 1):
+        for e, x in enumerate(inst.radix.weights, 1):
+            values = tuple(inst.beta_powers[t + s * x] for (t, s) in scheme.descriptors)
             for j in range(1, params.u + 1):
-                assert scheme.rows[e - 1] == ev.at(e, j)
+                assert values == ev.at(e, j)
+
+
+def _int_data(v):
+    return type(v) is int or type(v) is tuple and all(_int_data(x) for x in v)
+
+
+@pytest.mark.parametrize("params", [
+    c1_params(3, 2, 3, 2),
+    c2_params(3, 2, 6, (2, 2)),
+    c2_params(3, 2, 5, (2, 2)),
+    cor7_params(3, 2, 6, 5),
+    homogeneous_params(3, 3, 2),
+    c2_params(13, 3, 6, (2, 2)),
+], ids=["C1", "C2", "C2-remainder", "Cor7", "homogeneous", "C2-q13"])
+def test_schemes_are_integer_data(params):
+    # a scheme holds no field element: every attribute of a node's family
+    # and of its rank check's scheme is an int or a nested tuple of ints,
+    # and the two compare equal
+    inst = build(params)
+    for node in range(1, params.n + 1):
+        fresh, checked = repair_family(inst, node), verify_rank_condition(inst, node).scheme
+        for scheme in (fresh, checked):
+            assert all(_int_data(getattr(scheme, f.name)) for f in fields(scheme))
+        assert fresh == checked
 
 
 def test_c1_evaluated_set_is_zeta_u_powers():

@@ -19,7 +19,7 @@ from rackrepair.constructions import (
 )
 from rackrepair.gf import GF, ExtensionField, rank_over_base
 from rackrepair.repair import RepairError, RepairSession, audit
-from rackrepair import constructions, gf, rs
+from rackrepair import gf, rs
 from rackrepair.cli import rows_for_instance
 from rackrepair.rs import encode
 
@@ -386,41 +386,36 @@ def test_repair_requires_verified_scheme():
     assert transcript.recovered == recovered == word[0]
 
 
-def test_repair_reads_the_memo_rank_not_the_scheme_flag(monkeypatch):
+def rank_deficient_instance():
+    # the C1 code with its power table patched so that the host's second
+    # exponent gives the first's element: node 1's descriptors stay valid
+    # and the coset assertion passes, but the host row of rack 1 repeats an
+    # element and has rank 7
+    inst = build(c1_params(3, 2, 3, 2))
+    scheme = repair_family(inst, 1)
+    x = inst.radix.weights[scheme.rack - 1]
+    (t0, s0), (t1, s1) = scheme.descriptors[:2]
+    powers = list(inst.beta_powers)
+    powers[t1 + s1 * x] = powers[t0 + s0 * x]
+    inst.__dict__["beta_powers"] = tuple(powers)
+    return inst
+
+
+def test_repair_reads_the_memo_rank_not_the_scheme_flag():
     # a repeated element gives the host row of rack 1 rank 7; the session
     # refuses that check's own scheme, from the memo's rank
-    family = constructions.repair_family
-
-    def repeated(instance, node):
-        scheme = family(instance, node)
-        rows = list(scheme.rows)
-        host = rows[scheme.rack - 1]
-        rows[scheme.rack - 1] = (host[0], host[0]) + host[2:]
-        return replace(scheme, rows=tuple(rows))
-
-    monkeypatch.setattr(constructions, "repair_family", repeated)
-    inst = build(c1_params(3, 2, 3, 2))
+    inst = rank_deficient_instance()
     check = verify_rank_condition(inst, 1)
     assert not check.ok and check.rank == 7
     with pytest.raises(ValueError, match="rank condition not verified"):
         RepairSession(inst, check.scheme)
 
 
-def test_rank_deficient_check_is_its_nodes_report(monkeypatch):
+def test_rank_deficient_check_is_its_nodes_report():
     # the rank-deficient check of the set-up above still reports its
     # node's bandwidth: bounds, ratio and per-rack ranks, as its CLI row does
-    family = constructions.repair_family
-
-    def repeated(instance, node):
-        scheme = family(instance, node)
-        rows = list(scheme.rows)
-        host = rows[scheme.rack - 1]
-        rows[scheme.rack - 1] = (host[0], host[0]) + host[2:]
-        return replace(scheme, rows=tuple(rows))
-
-    monkeypatch.setattr(constructions, "repair_family", repeated)
-    params = c1_params(3, 2, 3, 2)
-    inst = build(params)
+    inst = rank_deficient_instance()
+    params = inst.params
     check = verify_rank_condition(inst, 1)
     assert not check.ok and check.rank == 7
     assert check.bounds == bounds(params, 1)
