@@ -310,33 +310,35 @@ def repair_family(instance: CodeInstance, node: int) -> RepairScheme:
 
 @dataclass(frozen=True)
 class RankCheck:
-    """A rack's rank check, its repair plan and its nodes' bandwidth report:
-    (rack, basis, payload map P_e) per helper rack, `b` the sum of their
-    ranks with its `bounds` and `ratio` b / b_min, and the decoder of the
-    rack's first node (None below rank l; `without_plan` drops it and each
-    P_e); the plan's algebra is `repair.RepairSession`'s.  Equality
-    compares `ok`, `rank` and `scheme`."""
+    """A rack's rank check, its repair plan and its nodes' bandwidth report.
+
+    The report: `per_rack`, (rack, b_e) for every helper rack in rack
+    order, `b` the sum of the b_e with its `bounds`, and `ratio` b / b_min.
+    The plan: each helper's basis (`bases`, in `per_rack` order), the
+    stacked payload map, an (nbar - 1, max b_e, l) array whose slice i
+    holds the i-th helper's P_e in its first b_e rows (a view) and zeros
+    below, so that one batched product forms every payload (each still a
+    sum of l residue products, within `residue_dtype`'s bound), and the
+    decoder of the rack's first node (None below rank l).  `without_plan`
+    drops the plan and keeps the report.  The plan's algebra is
+    `repair.RepairSession`'s.  Equality compares `ok`, `rank` and `scheme`."""
 
     ok: bool
     rank: int
     scheme: RepairScheme
-    helpers: tuple[tuple[int, tuple, np.ndarray], ...] = dataclasses.field(compare=False, repr=False)
+    per_rack: tuple[tuple[int, int], ...] = dataclasses.field(compare=False)
+    bases: tuple[tuple, ...] | None = dataclasses.field(compare=False, repr=False)
+    payload_map: np.ndarray | None = dataclasses.field(compare=False, repr=False)
     decoder: np.ndarray | None = dataclasses.field(compare=False, repr=False)
     b: int = dataclasses.field(compare=False)
     bounds: BoundSet = dataclasses.field(compare=False)
     ratio: Fraction = dataclasses.field(compare=False)
 
-    @property
-    def per_rack(self) -> tuple[tuple[int, int], ...]:
-        """(e, b_e) for every helper rack e: the rank of its row."""
-        return tuple((e, len(basis)) for e, basis, _ in self.helpers)
-
     def without_plan(self) -> RankCheck:
-        """This check without its plan's matrices (each P_e and the decoder,
-        l (l + 2b) residues): the bandwidth report alone, which is what a
-        sweep's rows keep of every node."""
-        return replace(self, helpers=tuple((e, basis, None) for e, basis, _ in self.helpers),
-                       decoder=None)
+        """This check without its plan (the bases, the payload map and the
+        decoder): the bandwidth report alone, which is what a sweep's rows
+        keep of every node."""
+        return replace(self, bases=None, payload_map=None, decoder=None)
 
 
 def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
@@ -352,7 +354,8 @@ def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
     The rank is l exactly when the host row has a dual basis mu, so that is
     the check (`rank_over_base` only reports a failed rank); no point is
     evaluated here.  Each helper rack's row is reduced once, for its basis
-    and P_e, and at rank l mu gives the decoder; no row and no mu is kept.
+    and coordinates, and its P_e is written into the rack's one stacked
+    payload map; at rank l mu gives the decoder; no row and no mu is kept.
     All of it, `bounds` included, depends on the node only through its
     rack, so `CodeInstance.rack_memo` keeps the check of the rack checked
     last, which every node of that rack shares.
@@ -376,14 +379,16 @@ def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
             mu, rank = None, rank_over_base(rows[host - 1]).rank
         q, dtype = params.q, code.weight_matrices.dtype
         tf = field._trace_form.astype(dtype)
-        helpers, coords = [], []
-        for e, values in enumerate(rows, 1):
-            if e != host:
-                profile = rank_over_base(values)
-                basis = tuple(values[p] for p in profile.pivots)
-                basis_mat = np.stack([z.vec for z in basis]).astype(dtype)
-                helpers.append((e, basis, reduce_residues(basis_mat @ tf, q)))
-                coords.append(profile.coords.astype(dtype))
+        racks = [e for e in range(1, params.nbar + 1) if e != host]
+        bases, coords = [], []
+        for e in racks:
+            profile = rank_over_base(rows[e - 1])
+            bases.append(tuple(rows[e - 1][p] for p in profile.pivots))
+            coords.append(profile.coords.astype(dtype))
+        payload_map = np.zeros((len(bases), max(map(len, bases)), params.l), dtype)
+        for block, basis in zip(payload_map, bases):
+            basis_mat = np.stack([z.vec for z in basis]).astype(dtype)
+            block[:len(basis)] = reduce_residues(basis_mat @ tf, q)
         decoder = None
         if mu is not None:
             lam_inv = code.weight_inverses[(host - 1) * params.u]
@@ -391,8 +396,10 @@ def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
             expand = reduce_residues(host_map @ mu.T.astype(dtype), q)
             decoder = np.concatenate(
                 [host_map] + [reduce_residues(expand @ c, q) for c in coords], axis=1)
-        b, bset = sum(len(basis) for _, basis, _ in helpers), bounds(params, node)
-        memo[host] = RankCheck(ok=rank == params.l, rank=rank, scheme=scheme, helpers=tuple(helpers),
-                               decoder=decoder, b=b, bounds=bset, ratio=Fraction(b) / bset.b_min)
+        per_rack = tuple((e, len(basis)) for e, basis in zip(racks, bases))
+        b, bset = sum(len(basis) for basis in bases), bounds(params, node)
+        memo[host] = RankCheck(ok=rank == params.l, rank=rank, scheme=scheme, per_rack=per_rack,
+                               bases=tuple(bases), payload_map=payload_map, decoder=decoder,
+                               b=b, bounds=bset, ratio=Fraction(b) / bset.b_min)
     check = memo[host]
     return replace(check, scheme=replace(check.scheme, node=node))

@@ -15,6 +15,7 @@ separately and must agree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,19 +68,24 @@ class RepairSession:
     first node.  Rack e's points are gamma_e alpha^j, so
     lambda_(e,j) = w_j lambda_(e,1) with the B-scalars w_j of
     `CodeSpec.weight_scalars`, one row for every rack: node j applies
-    w_j^-1 mod q to the decoded vector.  A run forms every
-    sigma_e = M(lambda_(e,1)) (sum_j w_j c_j) by one B-combination and one
-    batched product, then one product per helper rack and one for the
-    decoder.  The session checks its node's rack itself (a memo hit when
-    that rack was checked last) and is refused unless the rank is l; `run`
-    returns that check, the node's bandwidth report, with each transcript.
+    w_j^-1 mod q to the decoded vector.  The session checks its node's rack
+    itself (a memo hit when that rack was checked last) and is refused
+    unless the rank is l; `run` returns that check, the node's bandwidth
+    report, with each transcript.
 
-    Every product and running sum stays below max(u, nbar) l (q-1)^2, so it
-    is exact in the dtype `residue_dtype` picks for that bound (float32 below
-    2^24, int64 below 2^63), and each is reduced by
-    `reduce_residues`.  The symbols must belong to the code's field
-    (`ValueError` otherwise).  The failed symbol is not read: its row of the
-    stack is zero, and it appears only as `expected`.
+    A run has four stages, one reduction each, whatever nbar is: the n
+    symbols become one (nbar, u, l) residue array, and their B-combination
+    per rack; every sigma_e = M(lambda_(e,1)) (sum_j w_j c_j) by one batched
+    product; every payload by one batched product of the helpers' sigma_e
+    with the rack's stacked payload map, whose slice i holds the i-th
+    helper's P_e above zero padding; and the decoder's one product.  The
+    payloads become ints once, sliced into each `RackMessage`.  Every
+    product and running sum stays below max(u, nbar) l (q-1)^2 (a payload
+    sums l residue products), so it is exact in the dtype `residue_dtype`
+    picks for that bound (float32 below 2^24, int64 below 2^63), and each
+    is reduced by `reduce_residues`.  The symbols must belong to the code's
+    field (`ValueError` otherwise).  The failed symbol is not read: its row
+    of the stack is zero, and it appears only as `expected`.
     """
 
     def __init__(self, instance: CodeInstance, scheme: RepairScheme):
@@ -91,12 +97,20 @@ class RepairSession:
         check = verify_rank_condition(instance, node)
         if not check.ok:
             raise ValueError("refusing to repair: rank condition not verified for this scheme")
-        self.check, self.helpers, self.decoder, self.b = check, check.helpers, check.decoder, check.b
+        self.check, self.decoder, self.b = check, check.decoder, check.b
         self.weights = code.weight_matrices
         self.scalars = code.weight_scalars[:, None]
         self.w_inv = pow(int(code.weight_scalars[failed_j - 1]), -1, params.q)
         self.host_nodes = tuple(code.node_index(self.host_rack, m)
                                 for m in range(1, params.u + 1) if m != failed_j)
+        # the payloads are the batched product's entries above each helper's
+        # zero padding; each helper's message takes its slice of them
+        racks, sizes = zip(*check.per_rack)
+        self.helper_rows = np.array(racks) - 1
+        width = check.payload_map.shape[1]
+        self.payload_at = np.flatnonzero(np.arange(width) < np.array(sizes)[:, None])
+        ends = list(accumulate(sizes))
+        self.slices = tuple(zip(racks, check.bases, [0] + ends[:-1], ends))
 
     def run(self, codeword) -> tuple[RepairTranscript, RankCheck]:
         instance, scheme = self.instance, self.scheme
@@ -110,23 +124,20 @@ class RepairSession:
         vecs = [field._check(c).vec for c in codeword]
         vecs[node - 1] = field.zero.vec
         symbols = np.array(vecs, dtype=self.weights.dtype).reshape(params.nbar, params.u, params.l)
-        # each rack's symbols combined with their weight scalars, then one
-        # product per rack: sigma_e for every rack, the host rack's is nu
         combined = reduce_residues((self.scalars * symbols).sum(axis=1), q)
+        # sigma_e for every rack; the host rack's is nu
         sigma = reduce_residues(self.weights @ combined[:, :, None], q)[:, :, 0]
-        parts = [sigma[self.host_rack - 1]]
-        messages = []
-        for e, basis, payload_map in self.helpers:
-            payload = reduce_residues(payload_map @ sigma[e - 1], q)
-            parts.append(payload)
-            messages.append(RackMessage(
-                rack=e, basis_elems=basis, payload=tuple(payload.astype(np.int64).tolist()),
-            ))
-        vec = reduce_residues(self.decoder @ np.concatenate(parts), q)
+        payloads = reduce_residues(
+            (self.check.payload_map @ sigma[self.helper_rows, :, None]).take(self.payload_at), q)
+        parts = np.concatenate([sigma[self.host_rack - 1], payloads])
+        vec = reduce_residues(self.decoder @ parts, q)
         recovered = FieldElement(field, vec.astype(np.int64) * self.w_inv % q)
 
+        values = payloads.astype(np.int64).tolist()
+        messages = tuple(RackMessage(rack=e, basis_elems=basis, payload=tuple(values[a:z]))
+                         for e, basis, a, z in self.slices)
         transcript = RepairTranscript(
-            node=node, host_rack=self.host_rack, messages=tuple(messages),
+            node=node, host_rack=self.host_rack, messages=messages,
             host_symbols=tuple((idx, codeword[idx - 1]) for idx in self.host_nodes),
             recovered=recovered, expected=expected,
         )

@@ -4,10 +4,12 @@ import random
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+import dataclasses
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +33,7 @@ from rackrepair.constructions import (
     homogeneous_params,
     verify_rank_condition,
 )
-from rackrepair.gf import GF
+from rackrepair.gf import GF, FieldElement
 
 
 def c1_config(**kw):
@@ -148,6 +150,19 @@ def test_summarize_counts_rows_with_broken_bounds():
     assert sum(1 for r in edited if r.check.bounds.violations(r.check.b)) == 3
 
 
+def _leaves(obj):
+    """Every non-container value reachable from obj through dataclass
+    fields, tuples and lists."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _leaves(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _leaves(x)
+    else:
+        yield obj
+
+
 @pytest.mark.parametrize("params", [
     c1_params(3, 2, 3, 2),
     c2_params(3, 2, 6, (2, 2)),
@@ -157,8 +172,9 @@ def test_summarize_counts_rows_with_broken_bounds():
     c2_params(13, 3, 6, (2, 2)),
 ], ids=["C1", "C2", "C2-remainder", "Cor7", "homogeneous", "C2-q13"])
 def test_rows_hold_their_nodes_check(params):
-    # every row holds its node's rank check without the plan's matrices,
-    # and its CSV line shows that check's b, bounds, case and ratio
+    # every row holds its node's rank check without the plan (no basis
+    # element and no array anywhere in the row), and its CSV line shows
+    # that check's b, bounds, case and ratio
     inst = build(params)
     rows = rows_for_instance(inst, 1, random.Random(7))
     lines = emit_report(rows, "csv").splitlines()[1:params.n + 1]
@@ -166,7 +182,9 @@ def test_rows_hold_their_nodes_check(params):
     for node, row, line in zip(range(1, params.n + 1), rows, lines):
         check = verify_rank_condition(inst, node)
         assert row.check == check and row.check.per_rack == check.per_rack
-        assert row.check.decoder is None and all(p is None for _, _, p in row.check.helpers)
+        plan = {type(x) for x in _leaves(check)} & {FieldElement, np.ndarray}
+        assert plan == {FieldElement, np.ndarray}  # the full check holds both
+        assert not any(isinstance(x, (FieldElement, np.ndarray)) for x in _leaves(row))
         values = dict(zip(CSV_HEADER.split(","), line.split(","), strict=True))
         assert (values["rack"], values["node"]) == (str(check.scheme.rack), str(node))
         assert int(values["b"]) == check.b

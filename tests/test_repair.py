@@ -184,25 +184,27 @@ def test_repair_exact_homogeneous():
             assert audit(transcript, report).ok
 
 
-@pytest.mark.parametrize("params", [
-    c1_params(3, 2, 3, 2),
-    c2_params(3, 2, 6, (2, 2)),
-    c2_params(3, 2, 5, (2, 2)),
-    cor7_params(3, 2, 6, 5),
-    homogeneous_params(3, 3, 2),
-    c1_params(5, 4, 3, 2, v=2),
-    c2_params(13, 3, 6, (2, 2)),
-], ids=["C1", "C2", "C2-remainder", "Cor7", "homogeneous", "C1-q5-v2", "C2-q13"])
-def test_run_matches_reference_repair(params):
+@pytest.mark.parametrize("params,words", [
+    (c1_params(3, 2, 3, 2), 3),
+    (c2_params(3, 2, 6, (2, 2)), 3),
+    (c2_params(3, 2, 5, (2, 2)), 3),
+    (cor7_params(3, 2, 6, 5), 3),
+    (homogeneous_params(3, 3, 2), 3),
+    (c1_params(5, 4, 3, 2, v=2), 3),
+    (c2_params(13, 3, 6, (2, 2)), 3),
+    (c1_params(3, 2, 7, 2), 1),
+], ids=["C1", "C2", "C2-remainder", "Cor7", "homogeneous", "C1-q5-v2", "C2-q13", "l128"])
+def test_run_matches_reference_repair(params, words):
     # every payload, its rack order and the recovered symbol equal the
-    # field-arithmetic reference on every node
+    # field-arithmetic reference on every node; at l = 128 the batched
+    # products are the widest (6 helpers, b = 447 at node 1)
     inst = build(params)
     rng = random.Random(37)
     for node in range(1, params.n + 1):
         check = verify_rank_condition(inst, node)
         assert check.ok
         session = RepairSession(inst, check.scheme)
-        for _ in range(3):
+        for _ in range(words):
             word = random_codeword(inst, rng)
             transcript, _ = session.run(word)
             messages, recovered = reference_repair(inst, check.scheme, word)
@@ -215,8 +217,8 @@ def test_run_matches_reference_repair(params):
 def test_one_plan_per_rack(params, monkeypatch):
     # planning every node in order takes one dual basis per rack, in its
     # rank check, and none in the sessions; the memo keeps the last rack's
-    # check, the rack's nodes share its payload maps and decoder, and each
-    # applies its own B-scalar w_j^-1
+    # check, the rack's nodes share its bases, stacked payload map and
+    # decoder, and each applies its own B-scalar w_j^-1
     inst = build(params)
     calls = []
     dual_basis = ExtensionField.dual_basis
@@ -231,17 +233,67 @@ def test_one_plan_per_rack(params, monkeypatch):
     assert calls == [params.l] * params.nbar and params.nbar == 6
     assert list(inst.rack_memo) == [params.nbar]  # only the rack checked last is kept
     last = inst.rack_memo[params.nbar]
-    assert last.ok and last.decoder is sessions[-1].decoder and last.helpers is sessions[-1].helpers
+    assert last.ok and last.decoder is sessions[-1].decoder
+    assert last.payload_map is sessions[-1].check.payload_map and last.bases is sessions[-1].check.bases
     q, u = params.q, params.u
     w = inst.code.weight_scalars.astype(np.int64)
     assert w.shape == (u,) and (w != 1).any()
     for node, session in enumerate(sessions, 1):
         first = sessions[(node - 1) // u * u]
         assert session.decoder is first.decoder
-        assert len(session.helpers) == len(first.helpers) == params.nbar - 1
-        for (e, basis, pmap), (e1, basis1, pmap1) in zip(session.helpers, first.helpers):
-            assert e == e1 and basis is basis1 and pmap is pmap1
+        assert len(session.check.per_rack) == params.nbar - 1
+        assert session.check.per_rack == first.check.per_rack
+        assert session.check.bases is first.check.bases
+        assert session.check.payload_map is first.check.payload_map
         assert session.w_inv == pow(int(w[(node - 1) % u]), -1, q)
+
+
+@pytest.mark.parametrize("params", [
+    c2_params(3, 2, 6, (2, 2)),
+    c2_params(3, 2, 5, (2, 2)),
+    c1_params(3, 2, 7, 2),
+], ids=["c2", "C2-remainder", "l128"])
+def test_run_is_four_stages_over_one_stacked_plan(params, monkeypatch):
+    # a run reduces four times whatever nbar is (6, 5 and 7 here): the
+    # B-combination, the sigma_e, the payloads and the decoder; each
+    # helper's P_e is a view of its rack's one stacked payload map, which
+    # the rack's sessions and the memo share, equals its basis rows times
+    # the trace form and has only zeros below it
+    from rackrepair import repair
+
+    inst = build(params)
+    q, u = params.q, params.u
+    sessions = [RepairSession(inst, verify_rank_condition(inst, node).scheme)
+                for node in range(1, params.n + 1)]
+    memo = inst.rack_memo[params.nbar]
+    trace_form = inst.field._trace_form.astype(np.int64)
+    for node, session in enumerate(sessions, 1):
+        check, first = session.check, sessions[(node - 1) // u * u].check
+        stack, sizes = check.payload_map, [b_e for _, b_e in check.per_rack]
+        assert stack is first.payload_map
+        assert stack.shape == (params.nbar - 1, max(sizes), params.l) and sum(sizes) == check.b
+        if check.scheme.rack == params.nbar:
+            assert stack is memo.payload_map
+        for i, (b_e, basis) in enumerate(zip(sizes, check.bases)):
+            p_e = stack[i, :b_e]
+            assert np.shares_memory(p_e, stack) and np.shares_memory(p_e, first.payload_map)
+            rows = np.stack([z.vec for z in basis]).astype(np.int64)
+            assert (p_e.astype(np.int64) == rows @ trace_form % q).all()
+            assert not stack[i, b_e:].any()
+
+    calls = []
+    reduce = repair.reduce_residues
+
+    def counted(a, modulus):
+        calls.append(a.shape)
+        return reduce(a, modulus)
+
+    monkeypatch.setattr(repair, "reduce_residues", counted)
+    word = random_codeword(inst, random.Random(59))
+    for node in (1, params.n):
+        calls.clear()
+        transcript, report = sessions[node - 1].run(word)
+        assert len(calls) == 4 and audit(transcript, report).ok
 
 
 @pytest.mark.parametrize("params,rrefs", [
@@ -286,7 +338,7 @@ def test_rank_check_reuses_the_last_rack(params):
         assert list(inst.rack_memo) == [fresh.rack]
         entry = inst.rack_memo[fresh.rack]
         assert entry.ok and entry.rank == params.l and entry.scheme.rack == fresh.rack
-        assert entry.decoder is check.decoder and entry.helpers is check.helpers
+        assert entry.decoder is check.decoder and entry.payload_map is check.payload_map
         ev = FamilyEvaluator(inst, fresh)
         assert check.b == sum(rank_over_base(ev.at(e)).rank
                               for e in range(1, params.nbar + 1) if e != fresh.rack)
@@ -420,7 +472,7 @@ def test_rank_deficient_check_is_its_nodes_report():
     assert not check.ok and check.rank == 7
     assert check.bounds == bounds(params, 1)
     assert check.ratio == Fraction(check.b) / check.bounds.b_min
-    assert check.per_rack == tuple((e, len(basis)) for e, basis, _ in check.helpers)
+    assert tuple(b for _, b in check.per_rack) == tuple(len(basis) for basis in check.bases)
     assert [e for e, _ in check.per_rack] == [2, 3] and sum(b for _, b in check.per_rack) == check.b
     row = rows_for_instance(inst, 1, random.Random(5))[0]
     assert row.check.scheme.node == 1 and not row.check.ok
@@ -444,10 +496,10 @@ def test_rank_check_is_the_bandwidth_report(params):
         check = verify_rank_condition(inst, node)
         assert check.bounds == bounds(params, node)
         assert check.ratio == Fraction(check.b) / check.bounds.b_min
-        assert check.per_rack == tuple((e, len(basis)) for e, basis, _ in check.helpers)
+        assert tuple(b for _, b in check.per_rack) == tuple(len(basis) for basis in check.bases)
         session = RepairSession(inst, check.scheme)
         transcript, report = session.run(word)
-        assert report is session.check and report == check and report.helpers is check.helpers
+        assert report is session.check and report == check and report.payload_map is check.payload_map
         assert (report.b, report.bounds, report.ratio) == (check.b, check.bounds, check.ratio)
         assert report.per_rack == tuple((m.rack, len(m.payload)) for m in transcript.messages)
 
