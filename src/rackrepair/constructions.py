@@ -186,13 +186,6 @@ class CodeInstance:
         return {}
 
 
-def digit_system(params: SchemeParams) -> RadixSystem:
-    """The mixed-radix system housing the construction's exponents: the
-    multi-base expansion of `params.bases` over nbar positions.  Its
-    capacity is exactly l and its weights are the rack exponents."""
-    return RadixSystem(multi_base_radices(params.bases, params.nbar))
-
-
 def build(params: SchemeParams) -> CodeInstance:
     """Construct the field, evaluation points, and code for validated params.
 
@@ -203,7 +196,7 @@ def build(params: SchemeParams) -> CodeInstance:
     if params.mode not in MODES:
         raise ValueError(f"unknown mode {params.mode!r}")
     check_field_size(params.q, params.l)
-    radix = digit_system(params)
+    radix = RadixSystem(multi_base_radices(params.bases, params.nbar))
     if radix.capacity != params.l:
         raise AssertionError("digit system capacity does not match l")
     field = GF(params.q, params.l)
@@ -318,9 +311,10 @@ class RankCheck:
     stacked payload map, an (nbar - 1, max b_e, l) array whose slice i
     holds the i-th helper's P_e in its first b_e rows (a view) and zeros
     below, so that one batched product forms every payload (each still a
-    sum of l residue products, within `residue_dtype`'s bound), and the
-    decoder of the rack's first node (None below rank l).  `without_plan`
-    drops the plan and keeps the report.  The plan's algebra is
+    sum of l residue products, within `residue_dtype`'s bound), its read
+    index `payload_at`, the flat positions of the b rows above the padding,
+    and the decoder of the rack's first node (None below rank l).
+    `without_plan` drops the plan and keeps the report.  The plan's algebra is
     `repair.RepairSession`'s.  Equality compares `ok`, `rank` and `scheme`."""
 
     ok: bool
@@ -329,16 +323,17 @@ class RankCheck:
     per_rack: tuple[tuple[int, int], ...] = dataclasses.field(compare=False)
     bases: tuple[tuple, ...] | None = dataclasses.field(compare=False, repr=False)
     payload_map: np.ndarray | None = dataclasses.field(compare=False, repr=False)
+    payload_at: np.ndarray | None = dataclasses.field(compare=False, repr=False)
     decoder: np.ndarray | None = dataclasses.field(compare=False, repr=False)
     b: int = dataclasses.field(compare=False)
     bounds: BoundSet = dataclasses.field(compare=False)
     ratio: Fraction = dataclasses.field(compare=False)
 
     def without_plan(self) -> RankCheck:
-        """This check without its plan (the bases, the payload map and the
-        decoder): the bandwidth report alone, which is what a sweep's rows
-        keep of every node."""
-        return replace(self, bases=None, payload_map=None, decoder=None)
+        """This check without its plan (the bases, the payload map, its read
+        index and the decoder): the bandwidth report alone, which is what a
+        sweep's rows keep of every node."""
+        return replace(self, bases=None, payload_map=None, payload_at=None, decoder=None)
 
 
 def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
@@ -355,7 +350,8 @@ def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
     the check (`rank_over_base` only reports a failed rank); no point is
     evaluated here.  Each helper rack's row is reduced once, for its basis
     and coordinates, and its P_e is written into the rack's one stacked
-    payload map; at rank l mu gives the decoder; no row and no mu is kept.
+    payload map, indexed above its padding; at rank l mu gives the decoder;
+    no row and no mu is kept.
     All of it, `bounds` included, depends on the node only through its
     rack, so `CodeInstance.rack_memo` keeps the check of the rack checked
     last, which every node of that rack shares.
@@ -385,10 +381,12 @@ def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
             profile = rank_over_base(rows[e - 1])
             bases.append(tuple(rows[e - 1][p] for p in profile.pivots))
             coords.append(profile.coords.astype(dtype))
-        payload_map = np.zeros((len(bases), max(map(len, bases)), params.l), dtype)
+        sizes = [len(basis) for basis in bases]
+        payload_map = np.zeros((len(bases), max(sizes), params.l), dtype)
         for block, basis in zip(payload_map, bases):
             basis_mat = np.stack([z.vec for z in basis]).astype(dtype)
             block[:len(basis)] = reduce_residues(basis_mat @ tf, q)
+        payload_at = np.flatnonzero(np.arange(max(sizes)) < np.array(sizes)[:, None])
         decoder = None
         if mu is not None:
             lam_inv = code.weight_inverses[(host - 1) * params.u]
@@ -396,10 +394,10 @@ def verify_rank_condition(instance: CodeInstance, node: int) -> RankCheck:
             expand = reduce_residues(host_map @ mu.T.astype(dtype), q)
             decoder = np.concatenate(
                 [host_map] + [reduce_residues(expand @ c, q) for c in coords], axis=1)
-        per_rack = tuple((e, len(basis)) for e, basis in zip(racks, bases))
-        b, bset = sum(len(basis) for basis in bases), bounds(params, node)
-        memo[host] = RankCheck(ok=rank == params.l, rank=rank, scheme=scheme, per_rack=per_rack,
-                               bases=tuple(bases), payload_map=payload_map, decoder=decoder,
+        b, bset = sum(sizes), bounds(params, node)
+        memo[host] = RankCheck(ok=rank == params.l, rank=rank, scheme=scheme,
+                               per_rack=tuple(zip(racks, sizes)), bases=tuple(bases),
+                               payload_map=payload_map, payload_at=payload_at, decoder=decoder,
                                b=b, bounds=bset, ratio=Fraction(b) / bset.b_min)
     check = memo[host]
     return replace(check, scheme=replace(check.scheme, node=node))

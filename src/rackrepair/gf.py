@@ -420,24 +420,18 @@ def check_field_size(q: int, l: int | None, l_floor: int = 0):
 class ExtensionField:
     """F = GF(q^l) with a certified primitive element and trace machinery.
 
-    Construction performs, in order: the size limits q <= `MAX_Q` and
-    l <= `MAX_L`, checked before anything is allocated (they keep
-    l (q-1)^2, the bound on every field product's sums, at most 2^44),
-    primality check on q, deterministic irreducible-modulus search, the trace form
-    T[i, j] = tr(x^(i+j)) from the modulus by Newton's identities,
+    Construction performs, in order: the modulus search `find_irreducible`,
+    whose refusals are the field's (q <= `MAX_Q` and l <= `MAX_L`, keeping
+    l (q-1)^2, the bound on every field product's sums, at most 2^44; a
+    prime q; l >= 1), the trace form T[i, j] = tr(x^(i+j)) by Newton's identities,
     factorization of q^l - 1 by cyclotomic splitting, and certification of
     the primitive element zeta.  Instances are immutable and safe to share.
     """
 
     def __init__(self, q: int, l: int):
-        check_field_size(q, l)
-        if not is_prime(q):
-            raise ValueError(f"{q} is not prime")
-        if l < 1:
-            raise ValueError("extension degree must be >= 1")
+        self.modulus = find_irreducible(q, l)
         self.q = q
         self.l = l
-        self.modulus = find_irreducible(q, l)
         self._ring = _QuotientRing(q, np.array(self.modulus, dtype=np.int64))
         self._init_trace()
         self.order = q**l - 1
@@ -590,7 +584,9 @@ def GF(q: int, l: int) -> ExtensionField:
 
 def find_irreducible(q: int, l: int) -> tuple[int, ...]:
     """First monic irreducible polynomial of degree l over GF(q), in counting
-    order of the non-leading coefficient vector (constant term fastest).
+    order of the non-leading coefficient vector (constant term fastest), by
+    one path for every degree.  It first refuses, before building anything,
+    a field past `check_field_size`, a q that is not prime and l < 1.
 
     Candidates are taken `_CHUNK` at a time, and `_FactorTable` rejects
     those with an irreducible factor of degree at most D = `_table_degree`
@@ -609,12 +605,11 @@ def find_irreducible(q: int, l: int) -> tuple[int, ...]:
     time.  The test has no early exit, so a rejected candidate costs as much
     as the answer: about 2 l^3.
     """
+    check_field_size(q, l)
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     if l < 1:
-        raise ValueError("degree must be >= 1")
-    if l == 1:
-        return (0, 1)  # x itself; every monic linear polynomial is irreducible
+        raise ValueError("extension degree must be >= 1")
     budget = StepBudget(_SEARCH_BUDGET, f"no irreducible polynomial of degree l = {l} over "
                         f"GF({q}) within the search budget of {{total}} coefficient products")
     budget.spend(0, reserve=_candidate_products(q, l))
@@ -738,7 +733,7 @@ def _candidate_products(q: int, l: int) -> int:
 
 
 def _is_irreducible(coeffs: np.ndarray, q: int, l: int, budget: StepBudget) -> bool:
-    """Whether the monic f = `coeffs` of degree l >= 2 is irreducible over
+    """Whether the monic f = `coeffs` of degree l >= 1 is irreducible over
     GF(q), by Rabin's test (Rabin, 1980): f is irreducible exactly when
     x^(q^l) = x mod f and gcd(x^(q^(l/p)) - x, f) = 1 for every prime p | l.
 

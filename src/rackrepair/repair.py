@@ -78,8 +78,10 @@ class RepairSession:
     per rack; every sigma_e = M(lambda_(e,1)) (sum_j w_j c_j) by one batched
     product; every payload by one batched product of the helpers' sigma_e
     with the rack's stacked payload map, whose slice i holds the i-th
-    helper's P_e above zero padding; and the decoder's one product.  The
-    payloads become ints once, sliced into each `RackMessage`.  Every
+    helper's P_e above zero padding, read by the plan's `payload_at`; and
+    the decoder's one product.  The payloads become ints once, sliced into
+    each `RackMessage` (the slices and helper rows are the session's own,
+    the rest of the plan its rack's).  Every
     product and running sum stays below max(u, nbar) l (q-1)^2 (a payload
     sums l residue products), so it is exact in the dtype `residue_dtype`
     picks for that bound (float32 below 2^24, int64 below 2^63), and each
@@ -103,17 +105,14 @@ class RepairSession:
         self.w_inv = pow(int(code.weight_scalars[failed_j - 1]), -1, params.q)
         self.host_nodes = tuple(code.node_index(self.host_rack, m)
                                 for m in range(1, params.u + 1) if m != failed_j)
-        # the payloads are the batched product's entries above each helper's
-        # zero padding; each helper's message takes its slice of them
+        # each helper's message takes its slice of the gathered payloads
         racks, sizes = zip(*check.per_rack)
         self.helper_rows = np.array(racks) - 1
-        width = check.payload_map.shape[1]
-        self.payload_at = np.flatnonzero(np.arange(width) < np.array(sizes)[:, None])
         ends = list(accumulate(sizes))
         self.slices = tuple(zip(racks, check.bases, [0] + ends[:-1], ends))
 
     def run(self, codeword) -> tuple[RepairTranscript, RankCheck]:
-        instance, scheme = self.instance, self.scheme
+        instance, scheme, check = self.instance, self.scheme, self.check
         params, field = instance.params, instance.field
         q = field.q
         if len(codeword) != params.n:
@@ -128,7 +127,7 @@ class RepairSession:
         # sigma_e for every rack; the host rack's is nu
         sigma = reduce_residues(self.weights @ combined[:, :, None], q)[:, :, 0]
         payloads = reduce_residues(
-            (self.check.payload_map @ sigma[self.helper_rows, :, None]).take(self.payload_at), q)
+            (check.payload_map @ sigma[self.helper_rows, :, None]).take(check.payload_at), q)
         parts = np.concatenate([sigma[self.host_rack - 1], payloads])
         vec = reduce_residues(self.decoder @ parts, q)
         recovered = FieldElement(field, vec.astype(np.int64) * self.w_inv % q)
@@ -149,7 +148,7 @@ class RepairSession:
                 f"exact recovery failed for node {node}: got {recovered!r}, "
                 f"expected {expected!r}", transcript,
             )
-        return transcript, self.check
+        return transcript, check
 
 
 @dataclass(frozen=True)

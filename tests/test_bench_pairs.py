@@ -6,7 +6,7 @@ import pytest
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from bench_pairs import attempted_medians, main, src_sha256, summarize  # noqa: E402
+from bench_pairs import attempted_medians, git_sha, main, src_sha256, summarize  # noqa: E402
 
 
 def _runs(values):
@@ -235,3 +235,26 @@ def test_src_sha256_names_the_source(tmp_path):
     assert src_sha256(change) == shas["base"]
     (change / "src" / "pkg" / "mod.py").rename(change / "src" / "pkg" / "other.py")
     assert src_sha256(change) != shas["base"]  # a path counts, not only bytes
+
+
+def test_git_sha_marks_an_uncommitted_src(tmp_path):
+    # a checkout whose src/ differs from HEAD is named <sha>+dirty, so an
+    # uncommitted change is not recorded under its parent's sha; a change
+    # outside src/ does not count
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                               "-c", "commit.gpgsign=false", *args], cwd=tmp_path,
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text("x = 1\n")
+    (tmp_path / "notes.md").write_text("a\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "seed")
+    sha = git("rev-parse", "HEAD")
+    assert len(sha) == 40 and git_sha(tmp_path) == sha
+    (tmp_path / "notes.md").write_text("b\n")
+    assert git_sha(tmp_path) == sha
+    (tmp_path / "src" / "mod.py").write_text("x = 2\n")
+    assert git_sha(tmp_path) == sha + "+dirty"

@@ -9,7 +9,6 @@ from rackrepair.constructions import (
     c1_params,
     c2_params,
     cor7_params,
-    digit_system,
     homogeneous_params,
     rack_wy,
     repair_family,
@@ -154,8 +153,9 @@ def test_digit_system_capacity():
         cor7_params(3, 2, 6, 5),
         homogeneous_params(3, 3, 2),
     ):
-        assert digit_system(params).capacity == params.l
-        assert digit_system(params).radices == multi_base_radices(params.bases, params.nbar)
+        radix = build(params).radix
+        assert radix.capacity == params.l
+        assert radix.radices == multi_base_radices(params.bases, params.nbar)
 
 
 def test_rack_wy():

@@ -1,8 +1,13 @@
 import gc
 import itertools
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +124,50 @@ def test_gf_cache_keeps_two_fields():
     gc.collect()
     assert ref() is None
     assert GF.cache_info().currsize == 2
+
+
+def test_find_irreducible_refuses_an_oversized_field():
+    # the search is every field's gate: it refuses a field beyond the
+    # limits before it builds anything, q past MAX_Q at any degree included
+    for q, l in ((65539, 2), (gf.MAX_Q + 2, 1)):
+        with pytest.raises(ValueError, match=f"^q = {q}, l = {l} is too large: "
+                                             f"need q <= {gf.MAX_Q} and l <= {gf.MAX_L}$"):
+            find_irreducible(q, l)
+
+
+BIG_Q_SEARCH = """import sys
+from rackrepair.gf import find_irreducible
+try:
+    find_irreducible(1_000_000_007, int(sys.argv[1]))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("l", [1, 8])
+def test_find_irreducible_refusal_is_bounded(l):
+    # q = 10^9 + 7 is refused before the counting order tabulates range(q):
+    # run in a child capped at 512 MB of address space, where tabulating it
+    # raises MemoryError instead
+    cap = 512 << 20
+    src = str(Path(gf.__file__).resolve().parent.parent)
+    got = subprocess.run(
+        [sys.executable, "-c", BIG_Q_SEARCH, str(l)], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (got.returncode, got.stderr) == (0, "")
+    assert got.stdout == f"q = 1000000007, l = {l} is too large: need q <= 65537 and l <= 4096\n"
+
+
+@pytest.mark.parametrize("q", [2, 3, 13, 65537])
+def test_degree_one_takes_the_one_search(q, monkeypatch):
+    # degree 1 has no path of its own: Rabin's test passes its first
+    # candidate, x itself
+    tested = []
+    rabin = gf._is_irreducible
+    monkeypatch.setattr(gf, "_is_irreducible", lambda *args: tested.append(1) or rabin(*args))
+    assert find_irreducible(q, 1) == (0, 1)
+    assert len(tested) == 1
 
 
 def test_find_irreducible_known_values():

@@ -217,8 +217,8 @@ def test_run_matches_reference_repair(params, words):
 def test_one_plan_per_rack(params, monkeypatch):
     # planning every node in order takes one dual basis per rack, in its
     # rank check, and none in the sessions; the memo keeps the last rack's
-    # check, the rack's nodes share its bases, stacked payload map and
-    # decoder, and each applies its own B-scalar w_j^-1
+    # check, the rack's nodes share its bases, stacked payload map, the
+    # map's read index and decoder, and each applies its own B-scalar w_j^-1
     inst = build(params)
     calls = []
     dual_basis = ExtensionField.dual_basis
@@ -246,6 +246,16 @@ def test_one_plan_per_rack(params, monkeypatch):
         assert session.check.bases is first.check.bases
         assert session.check.payload_map is first.check.payload_map
         assert session.w_inv == pow(int(w[(node - 1) % u]), -1, q)
+        # the read index is the plan's: every real P_e row is nonzero (its
+        # basis element is, and the trace form is nonsingular), the padding
+        # is zero
+        check = session.check
+        assert check.payload_at is first.check.payload_at
+        if check.scheme.rack == params.nbar:
+            assert check.payload_at is last.payload_at
+        rows = check.payload_map.reshape(-1, params.l)
+        assert np.array_equal(check.payload_at, np.flatnonzero(rows.any(axis=1)))
+        assert check.payload_at.size == check.b
 
 
 @pytest.mark.parametrize("params", [

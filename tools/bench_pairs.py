@@ -23,9 +23,11 @@ Each workload also records each side's median number of operations
 attempted per run, so a metric that grows with the work a run completes,
 such as `peak_rss_mb`, can be read against it.
 `--workload` may be given more than once.  Next to each side's `git_sha`
-(`unknown` outside a git checkout, as in an exported copy), the file
-records `src_sha256`, a SHA-256 of the side's `src/` tree, so the source
-each side ran is named either way.
+(`unknown` outside a git checkout, as in an exported copy, and
+`<sha>+dirty` when `git status --porcelain -- src` lists a change, so an
+uncommitted change is not read as its parent), the file records
+`src_sha256`, a SHA-256 of the side's `src/` tree, so the source each side
+ran is named either way.
 
 A run that exits non-zero, exits 0 with a first or last stdout line that
 is not the expected JSON, or is still running after ten times `run_seconds`
@@ -84,7 +86,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def git_sha(checkout: Path) -> str:
     got = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
-    return got.stdout.strip() if got.returncode == 0 else "unknown"
+    if got.returncode != 0:
+        return "unknown"
+    status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=checkout,
+                            capture_output=True, text=True)
+    return got.stdout.strip() + ("+dirty" if status.stdout.strip() else "")
 
 
 def src_sha256(checkout: Path) -> str:
