@@ -172,13 +172,11 @@ class CodeInstance:
     def beta_powers(self) -> tuple[FieldElement, ...]:
         """beta^a, beta = zeta^u, for every exponent a = t + s * exponent(e)
         a repair family can take (t < l, s < rbar_eff): one table per code,
-        from which `verify_rank_condition` reads every family's values."""
+        from which `verify_rank_condition` reads every family's values,
+        doubled from [1, beta] by `ExtensionField.powers`."""
         params = self.params
-        beta = self.field.zeta ** params.u
-        powers = [self.field.one]
-        for _ in range(params.l - 1 + (params.rbar_eff - 1) * max(self.radix.weights)):
-            powers.append(powers[-1] * beta)
-        return tuple(powers)
+        count = params.l + (params.rbar_eff - 1) * max(self.radix.weights)
+        return self.field.powers(self.field.zeta ** params.u, count)
 
     @functools.cached_property
     def rack_memo(self) -> dict:

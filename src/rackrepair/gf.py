@@ -23,24 +23,28 @@ q^l - 1 against the prime factorization of that order.  Exponents and orders
 are plain Python integers, so they stay exact far beyond machine word size.
 
 The Frobenius map a -> a^q is B-linear, so B[x]/(f), for any monic f,
-has one l x l residue matrix Q with Q a = a^q, kept in float64, where its
+has one l x l residue matrix Q with Q a = a^q, in a float dtype where its
 matvecs are exact and take BLAS (the Frobenius technique of von zur Gathen
-& Shoup, 1992).
+& Shoup, 1992): a field keeps its Q in float64.  Column j is x^(qj) mod f,
+read from the ring's power table while qj <= 2l - 2 and doubled past it,
+by the one power-table routine (`_QuotientRing.powers`) that also gives a
+code's table of beta powers.
 
 The modulus search rejects most candidates without building their
 quotient ring: one matrix product per block of candidates with a table of
 x^i mod p, for every small irreducible p, finds the candidates with a small
 factor (a root included), and only the rest go through Rabin's test, which
-takes x^(q^d) mod f as d matvecs with the candidate's Q and needs a gcd
-only for a candidate with x^(q^l) = x.  Each candidate's test is charged
-its l^2-weighted products from one `StepBudget` per search, so a degree
-whose search cannot finish within it is refused with `ValueError`.
+takes x^(q^d) mod f as d matvecs with the candidate's Q, in float32
+whenever l (q-1)^2 < 2^24, and needs a gcd only for a candidate with
+x^(q^l) = x.  Each candidate's test is charged its l^2-weighted products
+from one `StepBudget` per search, so a degree whose search cannot finish
+within it is refused with `ValueError`.
 
 Large powers in a field use its Q too: a^e is Horner's rule on the base-q
 digits of e, one Q step per digit.  The certification of the primitive
 element and the inverse a^(q^l - 2) both take their powers this way, and
 square-and-multiply (`_QuotientRing.pow`) takes only exponents up to q:
-x^q for Q, and the powers of one base-q digit.
+x^q for Q when q > 2l - 2, and the powers of one base-q digit.
 
 Certifying zeta has two halves.  q^l - 1 is factored one cyclotomic piece
 Phi_d(q) at a time, by `factorize` in the residue class of its primes, all
@@ -72,7 +76,7 @@ def _coprime(a: np.ndarray, b: np.ndarray, q: int) -> bool:
     the higher polynomial with a multiple of the lower one, and the degree
     drops past the zeros it leaves.  Zero has degree -1, so gcd(0, b) is b,
     a unit only when b is a nonzero constant."""
-    a, b = a % q, b % q
+    a, b = a.astype(np.int64) % q, b % q
     tmp = np.empty(max(a.size, b.size), dtype=np.int64)
 
     def degree(p, d):
@@ -145,33 +149,59 @@ class _QuotientRing:
     def mul_matrix(self, a: np.ndarray, dtype=np.int64) -> np.ndarray:
         """The l x l residue matrix M over B with M @ b % q = a b mod f.
 
-        Column j is a * x^j: a shifted up by j (a Toeplitz gather), its part
-        above degree l - 1 folded back through the reduction table.  The fold
-        sums l - 1 residue products in `dtype`: exact in int64 and float64
-        under the field's bound, and in any `residue_dtype` the caller passes."""
+        Column j is a * x^j: a shifted up by j (a strided Toeplitz view of
+        the zero-padded a), its part above degree l - 1 folded back through
+        the reduction table.  The fold sums l - 1 residue products in
+        `dtype`: exact in int64 and float64 under the field's bound, and in
+        any `residue_dtype` the caller passes."""
         l = self.l
         pad = np.zeros(l - 1, dtype=dtype)
         padded = np.concatenate([pad, a.astype(dtype), pad])
-        shifted = padded[np.subtract.outer(np.arange(2 * l - 1), np.arange(l)) + l - 1]
+        shifted = np.lib.stride_tricks.sliding_window_view(padded, l)[:, ::-1]
         return reduce_residues(shifted[:l] + self.reduction.T.astype(dtype) @ shifted[l:], self.q)
 
-    def frobenius(self) -> np.ndarray:
-        """The l x l float64 residue matrix Q with Q @ h % q = h^q mod f, as
-        h -> h^q is B-linear: column j is x^(qj) mod f, column j - 1 times
-        r = x^q mod f, one matvec by r's `mul_matrix` each.  Every product
-        with Q or with that matrix sums l residue products, at most
-        l (q-1)^2: exact in float64 below 2^53 (`MAX_Q` and `MAX_L` keep it
-        at most 2^44), and a larger bound raises `AssertionError`."""
+    def powers(self, seed: np.ndarray, count: int) -> np.ndarray:
+        """The rows r^0 .. r^(count-1) mod f, in `seed`'s float dtype, from
+        `seed`, the rows r^0 .. r^(m-1) for some m >= 2 (or m >= count).
+
+        Each doubling takes rows [m, 2m) as rows [0, m) times r^m: one `mul`
+        for r^m = r^(m-1) r, one `mul_matrix` and one matrix product.  Every
+        product sums l residue products, so the rows are exact in
+        `_exact_float`'s dtype for l (q-1)^2 or a wider one, as the callers
+        choose it."""
+        rows = np.empty((count, self.l), dtype=seed.dtype)
+        m = min(len(seed), count)
+        rows[:m] = seed[:m]
+        while m < count:
+            r_m = self.mul(rows[m - 1].astype(np.int64), rows[1].astype(np.int64))
+            n = min(m, count - m)
+            rows[m : m + n] = reduce_residues(rows[:n] @ self.mul_matrix(r_m, rows.dtype).T, self.q)
+            m += n
+        return rows
+
+    def frobenius(self, dtype=np.float64) -> np.ndarray:
+        """The l x l residue matrix Q with Q @ h % q = h^q mod f, as
+        h -> h^q is B-linear: column j is x^(qj) mod f = r^j, r = x^q mod f.
+
+        Every column with qj <= 2l - 2 is gathered from the ring's power
+        table (a unit row below degree l, else a `reduction` row), and
+        `powers` doubles the rest; only when q > 2l - 2 is r formed first,
+        by square-and-multiply (the Frobenius computations of von zur
+        Gathen & Shoup, 1992).  Every product, and every later one with Q,
+        sums l residue products, at most l (q-1)^2, so Q is built in `dtype`
+        or, when the bound needs it, in `_exact_float`'s wider dtype, which
+        raises `AssertionError` from 2^53 on (`MAX_Q` and `MAX_L` keep the
+        bound at most 2^44)."""
         q, l = self.q, self.l
-        bound = l * (q - 1) ** 2
-        if bound >= 2**53:
-            raise AssertionError(f"Frobenius products of up to {bound} overflow float64")
-        cols = np.eye(l)  # row j holds column j of Q; rows past 0 are overwritten
-        # x^q mod f from the polynomial x (the zero vector at l = 1, unused)
-        step = self.mul_matrix(self.pow(np.eye(1, l, 1, dtype=np.int64)[0], q), np.float64)
-        for j in range(1, l):
-            cols[j] = (step @ cols[j - 1]).astype(np.int64) % q
-        return np.ascontiguousarray(cols.T)
+        dtype = np.promote_types(dtype, _exact_float(l * (q - 1) ** 2, "Frobenius"))
+        power = q * np.arange(min(l, (2 * l - 2) // q + 1))  # the gathered x^(qj)
+        low = power < l
+        seed = np.zeros((power.size, l), dtype=dtype)
+        seed[low, power[low]] = 1
+        seed[~low] = self.reduction[power[~low] - l]
+        if power.size == 1 < l:  # q > 2l - 2: r = x^q by square-and-multiply
+            seed = np.stack([seed[0], self.pow(np.eye(1, l, 1, dtype=np.int64)[0], q).astype(dtype)])
+        return np.ascontiguousarray(self.powers(seed, l).T)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +292,15 @@ def residue_dtype(q: int, l: int, u: int, nbar: int):
     if bound < 2**63:
         return np.int64
     raise ValueError(f"residue products of up to {bound} do not fit in int64")
+
+
+def _exact_float(bound: int, what: str):
+    """The float dtype in which sums of integers below `bound` are exact:
+    float32 below 2^24 and float64 below 2^53; a larger bound raises
+    `AssertionError`, naming `what` products."""
+    if bound >= 2**53:
+        raise AssertionError(f"{what} products of up to {bound} overflow float64")
+    return np.float32 if bound < 2**24 else np.float64
 
 
 def reduce_residues(a: np.ndarray, q: int) -> np.ndarray:
@@ -524,6 +563,13 @@ class ExtensionField:
         `dtype` (`_QuotientRing.mul_matrix`)."""
         return self._ring.mul_matrix(self._check(a).vec, dtype)
 
+    def powers(self, a: FieldElement, count: int) -> tuple[FieldElement, ...]:
+        """a^0 .. a^(count-1), by `_QuotientRing.powers` from the seed
+        [1, a], in `_exact_float`'s dtype for l (q-1)^2."""
+        dtype = _exact_float(self.l * (self.q - 1) ** 2, "power-table")
+        rows = self._ring.powers(np.stack([self.one.vec, self._check(a).vec]).astype(dtype), count)
+        return tuple(FieldElement(self, row) for row in rows.astype(np.int64))
+
     def dual_basis(self, basis: Sequence[FieldElement]) -> np.ndarray:
         """Dual basis {mu_j} with tr(basis_i * mu_j) = delta_ij, as the
         l x l int64 matrix whose row j holds mu_j's coefficients.
@@ -675,13 +721,11 @@ class _FactorTable:
     padded with zeros to D coefficients, for i = 0 .. rows - 1.  For a
     batch of coefficient rows F, F @ W mod q holds f mod p in block k, so a
     block of zeros means p | f.  The product sums `rows` residue products,
-    so it is exact in float32 below 2^24 and in float64 below 2^53."""
+    so it runs in `_exact_float`'s dtype for that bound."""
 
     def __init__(self, polys: Sequence[np.ndarray], rows: int, q: int):
         bound = rows * (q - 1) ** 2
-        if polys and bound >= 2**53:
-            raise AssertionError(f"small-factor products of up to {bound} overflow float64")
-        dtype = np.float32 if bound < 2**24 else np.float64
+        dtype = _exact_float(bound, "small-factor")
         degree = np.array([p.size - 1 for p in polys], dtype=np.int64)
         n, D = len(polys), int(degree.max(initial=0))
         self.q = q
@@ -728,7 +772,12 @@ _SEARCH_BUDGET = 1 << 32  # l^2-weighted products per modulus search, twice GF(3
 def _candidate_products(q: int, l: int) -> int:
     """What Rabin's test is charged for one candidate of degree l, in
     products of l^2 coefficient products each: x^q mod f by square-and-
-    multiply, l to build its Frobenius matrix and l Frobenius steps."""
+    multiply, l to build its Frobenius matrix and l Frobenius steps.
+
+    The build now gathers most columns and doubles the rest, in far fewer
+    products than l, but the charge (2l + s) l^2 is kept as a fixed model
+    of the work, so that every search the budget refuses stays refused at
+    the same candidate."""
     return (2 * l + q.bit_length() + q.bit_count() - 2) * l * l
 
 
@@ -738,16 +787,19 @@ def _is_irreducible(coeffs: np.ndarray, q: int, l: int, budget: StepBudget) -> b
     x^(q^l) = x mod f and gcd(x^(q^(l/p)) - x, f) = 1 for every prime p | l.
 
     h_d = x^(q^d) mod f comes from h_(d-1) by one matvec with f's Frobenius
-    matrix (`_QuotientRing.frobenius`), for d = 1 .. l, keeping h_(l/p).  A
-    candidate that fails x^(q^l) = x, as most reducible ones do, needs no
-    gcd.  There is no early exit, so every candidate is charged the same
-    `_candidate_products` from `budget` before any work."""
+    matrix (`_QuotientRing.frobenius`), for d = 1 .. l, keeping h_(l/p).  Q
+    is built and stepped in float32 whenever l (q-1)^2 < 2^24 and in
+    float64 otherwise (`_exact_float`), each step reduced by
+    `reduce_residues`.  A candidate that fails x^(q^l) = x, as most
+    reducible ones do, needs no gcd.  There is no early exit, so every
+    candidate is charged the same `_candidate_products` from `budget`
+    before any work."""
     budget.spend(_candidate_products(q, l))
-    Q = _QuotientRing(q, coeffs).frobenius()
-    h = x = np.eye(1, l, 1, dtype=np.int64)[0]  # the polynomial x
+    Q = _QuotientRing(q, coeffs).frobenius(np.float32)  # float64 where the bound needs it
+    h = x = np.eye(1, l, 1, dtype=Q.dtype)[0]  # the polynomial x
     kept = {l // p: x for p in divisors(l) if is_prime(p)}
     for d in range(1, l + 1):
-        h = (Q @ h).astype(np.int64) % q
+        h = reduce_residues(Q @ h, q)
         if d in kept:
             kept[d] = h
     return bool(np.array_equal(h, x)) and all(_coprime(g - x, coeffs, q) for g in kept.values())

@@ -452,6 +452,79 @@ def test_ring_frobenius_float64_bound():
             gf._QuotientRing(q, f).frobenius()
 
 
+# (q, l, x^q by square-and-multiply first, doublings): every column
+# gathered from the power table (l = 1, or q = 2: x^(2j) has degree at most
+# 2l - 2), one doubling, several, and q > 2l - 2, where x^q comes first
+FROBENIUS_BUILDS = [(2, 1, False, 0), (3, 1, False, 0), (2, 2, False, 0), (3, 2, True, 0),
+                    (2, 64, False, 0), (2, 128, False, 0), (3, 128, False, 1), (13, 64, False, 3),
+                    (7, 27, False, 2), (257, 4, True, 1), (65537, 2, True, 0), (65537, 4, True, 1)]
+
+
+@pytest.mark.parametrize("q,l,squared,doublings", FROBENIUS_BUILDS,
+                         ids=[f"{q}^{l}" for q, l, _, _ in FROBENIUS_BUILDS])
+def test_frobenius_build_matches_oracle(monkeypatch, q, l, squared, doublings):
+    # the gathered and doubled Q against the column-by-column oracle, for
+    # the field's modulus and a seeded monic f, in float64 and, where
+    # l (q-1)^2 < 2^24, in float32; a float32 request past that bound is
+    # built in float64
+    calls = []
+    for name in ("pow", "mul_matrix"):
+        method = getattr(gf._QuotientRing, name)
+        monkeypatch.setattr(gf._QuotientRing, name,
+                            lambda self, *a, name=name, method=method: calls.append(name) or method(self, *a))
+    rng = random.Random(q * l + 5)
+    narrow = np.float32 if l * (q - 1) ** 2 < 2**24 else np.float64
+    for f in (find_irreducible(q, l), [rng.randrange(q) for _ in range(l)] + [1]):
+        f = np.array(f, dtype=np.int64)
+        expected = frobenius_matrix(f, q)
+        for dtype, built in ((np.float64, np.float64), (np.float32, narrow)):
+            calls.clear()
+            Q = gf._QuotientRing(q, f).frobenius(dtype)
+            assert Q.dtype == built and Q.flags.c_contiguous
+            assert np.array_equal(Q, expected)
+            assert calls == ["pow"] * squared + ["mul_matrix"] * doublings
+
+
+def test_exact_float_rule():
+    # float32 exactly when the bound is below 2^24, float64 below 2^53, and an
+    # AssertionError naming the products from 2^53 on; the Frobenius build
+    # and the small-factor table both take it: at l = 2, q = 2897 gives
+    # 2 (q-1)^2 = 2^24 - 3584 and the next prime, 2903, gives 2^24 + 65992
+    assert gf._exact_float(2**24 - 1, "x") == np.float32
+    assert gf._exact_float(2**24, "x") == np.float64
+    assert gf._exact_float(2**53 - 1, "x") == np.float64
+    with pytest.raises(AssertionError, match=f"^x products of up to {2**53} overflow float64$"):
+        gf._exact_float(2**53, "x")
+    f = np.array([2, 0, 1])  # x^2 + 2
+    rng = random.Random(24)
+    for q, dtype in ((2897, np.float32), (2903, np.float64)):
+        assert (2 * (q - 1) ** 2 < 2**24) == (dtype == np.float32)
+        ring = gf._QuotientRing(q, f)
+        Q = ring.frobenius(np.float32)
+        assert Q.dtype == dtype
+        for _ in range(8):
+            h = np.array([rng.randrange(q) for _ in range(2)], dtype=np.int64)
+            assert np.array_equal(reduce_residues(Q @ h.astype(dtype), q), ring.pow(h, q))
+        assert gf._FactorTable([np.array([1, 1])], 2, q).table.dtype == dtype
+    q = 2**26 + 15
+    with pytest.raises(AssertionError, match=f"^small-factor products of up to {2 * (q - 1) ** 2} overflow float64$"):
+        gf._FactorTable([np.array([1, 1])], 2, q)
+
+
+def test_field_powers_match_products():
+    # `ExtensionField.powers` doubles from [1, a]: every row against the
+    # running product, at count 1, 2, a power of two and one past it
+    for q, l in ((3, 128), (13, 64), (65537, 4)):
+        field = GF(q, l)
+        a = field.random_element(random.Random(q + l))
+        for count in (1, 2, 64, 65):
+            powers = field.powers(a, count)
+            expected = [field.one]
+            while len(expected) < count:
+                expected.append(expected[-1] * a)
+            assert powers == tuple(expected)
+
+
 @pytest.mark.parametrize("q,l", POWER_FIELDS, ids=[f"{q}^{l}" for q, l in POWER_FIELDS])
 def test_pow_matches_square_and_multiply(q, l):
     # the base-q Horner power against `_QuotientRing.pow`, the oracle
@@ -466,11 +539,16 @@ def test_pow_matches_square_and_multiply(q, l):
             assert np.array_equal((a**e).vec, field._ring.pow(a.vec, e)), (a, e)
 
 
-@pytest.mark.parametrize("q,l", [(13, 64), (65537, 4)])
-def test_pow_products(monkeypatch, q, l):
+# Ring products that build Q: (13, 64) gathers x^(13j) for j < 10 and
+# doubles 10 -> 20 -> 40 -> 64, one product of r^m each; at (65537, 4),
+# q > 2l - 2, x^q takes 16 squarings and 1 multiply first, then one
+# doubling 2 -> 4.  Building Q column by column would take l - 1 more.
+@pytest.mark.parametrize("q,l,builds", [(13, 64, 3), (65537, 4, 17 + 1)], ids=["13-64", "65537-4"])
+def test_pow_products(monkeypatch, q, l, builds):
     # a certification power takes at most l - 1 products for its digits and
     # square-and-multiply per distinct gap between them, and building Q
-    # takes the products of x^q alone: no table of a^d for every d < q
+    # takes exactly the products of x^q when q > 2l - 2 and one per
+    # doubling: no table of a^d for every d < q
     field = GF(q, l)
     a = field.zeta
     calls = []
@@ -478,7 +556,7 @@ def test_pow_products(monkeypatch, q, l):
     monkeypatch.setattr(gf._QuotientRing, "mul", lambda self, u, v: calls.append(1) or mul(self, u, v))
     monkeypatch.delitem(field.__dict__, "_frobenius", raising=False)
     field._frobenius
-    assert len(calls) <= 2 * q.bit_length()
+    assert len(calls) == builds
     for p in sorted(set(field.order_factorization)):
         e = field.order // p
         digits = base_q_digits(e, q)
